@@ -5,11 +5,10 @@
 //! workspace root (override with `SG_BENCH_JSON`), so regressions in the
 //! simulation hot path become diffable.
 //!
-//! The headline ablation pits the six engines against each other on
+//! The headline ablation pits the four engines against each other on
 //! n ≥ 1024 gossip executions: the retained naive `reference` oracle,
-//! the `compiled` schedule hot path, the `frontier` delta engine, the
-//! row-`parallel` engine, the persistent work-stealing `pool` engine,
-//! and the run-compressed `sparse` delta engine. A second group,
+//! the `compiled` schedule hot path, the persistent work-stealing
+//! `pool` engine, and the run-compressed `sparse` delta engine. A second group,
 //! `sim_large`, records the sparse engine's production sizes — up to
 //! the n ≈ 10⁶ Knödel gossip point that dense engines cannot represent
 //! (the n × n bit table alone would be 125 GB). `SG_BENCH_FAST=1`
@@ -21,8 +20,6 @@ use criterion::{black_box, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use systolic_gossip::prelude::*;
-use systolic_gossip::sg_sim::frontier::systolic_gossip_time_frontier;
-use systolic_gossip::sg_sim::parallel::systolic_gossip_time_parallel;
 use systolic_gossip::sg_sim::pool::PoolEngine;
 use systolic_gossip::sg_sim::reference::systolic_gossip_time_reference;
 use systolic_gossip::sg_sim::sparse::systolic_gossip_time_sparse;
@@ -58,12 +55,6 @@ fn bench_engine_ablation(c: &mut Criterion) {
     g.bench_with_input(BenchmarkId::new("compiled/hypercube", n), &sp, |b, sp| {
         b.iter(|| black_box(systolic_gossip_time(sp, n, budget)))
     });
-    g.bench_with_input(BenchmarkId::new("frontier/hypercube", n), &sp, |b, sp| {
-        b.iter(|| black_box(systolic_gossip_time_frontier(sp, n, budget)))
-    });
-    g.bench_with_input(BenchmarkId::new("parallel4/hypercube", n), &sp, |b, sp| {
-        b.iter(|| black_box(systolic_gossip_time_parallel(sp, n, budget, 4)))
-    });
     // The pool engine's whole point is reuse: built once outside the
     // timing loop, amortized across every gossip execution — exactly
     // how the scenario runner drives it.
@@ -88,12 +79,6 @@ fn bench_engine_ablation(c: &mut Criterion) {
     });
     g.bench_with_input(BenchmarkId::new("compiled/debruijn", n), &sp, |b, sp| {
         b.iter(|| black_box(systolic_gossip_time(sp, n, budget)))
-    });
-    g.bench_with_input(BenchmarkId::new("frontier/debruijn", n), &sp, |b, sp| {
-        b.iter(|| black_box(systolic_gossip_time_frontier(sp, n, budget)))
-    });
-    g.bench_with_input(BenchmarkId::new("parallel4/debruijn", n), &sp, |b, sp| {
-        b.iter(|| black_box(systolic_gossip_time_parallel(sp, n, budget, 4)))
     });
     let mut engine = PoolEngine::for_protocol(&sp, n, pool_threads());
     g.bench_with_input(BenchmarkId::new("pool/debruijn", n), &(), |b, _| {
@@ -248,7 +233,7 @@ fn write_bench_json(c: &Criterion) -> Vec<(&'static str, &'static str, f64)> {
         let Some(reference) = median_of(c, &format!("engine_ablation/reference/{workload}")) else {
             continue;
         };
-        for engine in ["compiled", "frontier", "parallel4", "pool", "sparse"] {
+        for engine in ["compiled", "pool", "sparse"] {
             if let Some(t) = median_of(c, &format!("engine_ablation/{engine}/{workload}")) {
                 speedups.push((workload, engine, reference as f64 / t.max(1) as f64));
             }

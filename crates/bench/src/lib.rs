@@ -5,6 +5,8 @@
 //! workload corpus the micro-benchmarks and the workload-validation test
 //! use. Prefer the scenario registry for anything user-facing.
 
+#![forbid(unsafe_code)]
+
 use systolic_gossip::prelude::*;
 
 /// The standard half-duplex workload set: `(name, network, protocol)`

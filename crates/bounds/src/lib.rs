@@ -12,6 +12,8 @@
 //! * [`registry`] — the literature bounds quoted by the paper;
 //! * [`tables`] — structured reproductions of Figs. 4, 5, 6 and 8.
 
+#![forbid(unsafe_code)]
+
 pub mod broadcast;
 pub mod diameter;
 pub mod general;

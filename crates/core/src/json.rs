@@ -1,12 +1,14 @@
-//! A minimal, strict JSON parser for the wire protocol.
+//! The workspace's one JSON parser: minimal, strict, and safe on
+//! hostile input.
 //!
 //! The workspace has no registry access, so there is no `serde_json`;
-//! this module implements the slice the daemon needs: parsing one
-//! request line into a [`Json`] value tree, with hard limits (nesting
-//! depth) so hostile input cannot blow the stack. Serialization goes
-//! the other way through `systolic_gossip::to_json_line`, and the
-//! round-trip between the two is property-tested in
-//! `tests/protocol_roundtrip.rs`.
+//! this module implements the slice the wire formats need: parsing one
+//! line into a [`Json`] value tree, with hard limits (nesting depth) so
+//! hostile input cannot blow the stack. `sg-serve` parses its requests
+//! with it and `sg-exec` decodes its node messages with it.
+//! Serialization goes the other way through [`crate::to_json_line`];
+//! `sg-serve`'s `tests/protocol_roundtrip.rs` property-tests the round
+//! trip between the two.
 
 use std::fmt;
 
@@ -96,6 +98,7 @@ impl fmt::Display for JsonError {
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -109,6 +112,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -277,13 +281,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // encoding is already valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters in one slice. The
+                    // run starts on a character boundary and stops at an
+                    // ASCII byte or the end, so it is whole UTF-8.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.input[start..self.pos]);
                 }
             }
         }

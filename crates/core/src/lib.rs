@@ -34,7 +34,10 @@
 //! | the paper | [`sg_delay`] | delay digraphs, `M(λ)`, Thm 4.1/5.1 |
 //! | tables | [`sg_bounds`] | `e(s)`, separator optimizer, Figs. 4–8 |
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
+pub mod json;
 pub mod network;
 pub mod oracle;
 pub mod report;

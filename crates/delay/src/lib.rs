@@ -11,6 +11,8 @@
 //! * [`bound`] — Theorems 4.1 and 5.1 evaluated on concrete protocols,
 //!   and the degenerate `s = 2` bound.
 
+#![forbid(unsafe_code)]
+
 pub mod bound;
 pub mod digraph;
 pub mod fullduplex;

@@ -5,7 +5,7 @@
 //! message-passing nodes instead of rows in a lockstep simulator.
 //!
 //! * [`message`] — the five typed JSONL wire messages (`init`, `round`,
-//!   `gossip`, `ack`, `done`) and their dependency-free codec;
+//!   `gossip`, `ack`, `done`) and their JSONL codec;
 //! * [`node`] — the [`Node`] trait and [`SystolicNode`]: one vertex of
 //!   a compiled [`sg_protocol::protocol::SystolicProtocol`], sending
 //!   deltas on its scheduled arcs with `others_know`-bounded
@@ -26,6 +26,8 @@
 //! lockstep engines in `sg-sim` — the conformance suite checks the
 //! driver's completion round against the simulator's on every registry
 //! scenario with a deterministic protocol.
+
+#![forbid(unsafe_code)]
 
 pub mod driver;
 pub mod fault;

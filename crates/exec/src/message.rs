@@ -2,12 +2,12 @@
 //!
 //! Every message is one JSON object per line — the maelstrom convention —
 //! so a node behind the stdio transport and a node stepped in-process
-//! speak byte-identical protocol. The codec is hand-rolled over the
-//! small closed grammar the five message types need (unsigned integers,
-//! short strings, integer arrays, and the nested schedule array), which
-//! keeps the crate dependency-free.
+//! speak byte-identical protocol. [`encode`] writes the five message
+//! types by hand; [`decode`] reads them back through the workspace's one
+//! JSON parser, [`systolic_gossip::json`].
 
 use std::fmt::Write as _;
+use systolic_gossip::json::{self, Json};
 
 /// Index of a vertex in the executed network; doubles as the node
 /// address on the wire.
@@ -210,207 +210,78 @@ fn err<T>(msg: impl Into<String>) -> Result<T, WireError> {
     Err(WireError(msg.into()))
 }
 
-/// A parsed JSON value of the message grammar: unsigned integers,
-/// strings, and (possibly nested) arrays.
-enum JVal {
-    Num(u64),
-    Str(String),
-    Arr(Vec<JVal>),
+fn as_u64(v: &Json, key: &str) -> Result<u64, WireError> {
+    v.as_int()
+        .and_then(|i| u64::try_from(i).ok())
+        .ok_or_else(|| WireError(format!("field `{key}` must be a non-negative integer")))
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn as_u32(v: &Json, key: &str) -> Result<u32, WireError> {
+    u32::try_from(as_u64(v, key)?).map_err(|_| WireError(format!("field `{key}` exceeds u32")))
 }
 
-impl<'a> Parser<'a> {
-    fn new(line: &'a str) -> Self {
-        Self {
-            bytes: line.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), WireError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'\\' {
-                return err("escapes are not part of the message grammar");
-            }
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| WireError("invalid utf-8".into()))?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            self.pos += 1;
-        }
-        err("unterminated string")
-    }
-
-    fn number(&mut self) -> Result<u64, WireError> {
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return err(format!("expected digit at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| WireError("integer out of range".into()))
-    }
-
-    fn value(&mut self) -> Result<JVal, WireError> {
-        match self.peek() {
-            Some(b'"') => Ok(JVal::Str(self.string()?)),
-            Some(b'[') => {
-                self.expect(b'[')?;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JVal::Arr(items));
-                        }
-                        _ => return err("expected `,` or `]` in array"),
-                    }
-                }
-            }
-            Some(b) if b.is_ascii_digit() => Ok(JVal::Num(self.number()?)),
-            _ => err(format!("unexpected value at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Vec<(String, JVal)>, WireError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(fields);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(fields);
-                }
-                _ => return err("expected `,` or `}` in object"),
-            }
-        }
+fn as_ids(v: &Json, key: &str) -> Result<Vec<u32>, WireError> {
+    match v {
+        Json::Arr(xs) => xs.iter().map(|x| as_u32(x, key)).collect(),
+        _ => err(format!("field `{key}` must be an integer array")),
     }
 }
 
-fn get_num(fields: &[(String, JVal)], key: &str) -> Result<u64, WireError> {
-    match fields.iter().find(|(k, _)| k == key) {
-        Some((_, JVal::Num(v))) => Ok(*v),
-        _ => err(format!("missing integer field `{key}`")),
-    }
-}
-
-fn as_u32(v: u64, key: &str) -> Result<u32, WireError> {
-    u32::try_from(v).map_err(|_| WireError(format!("field `{key}` exceeds u32")))
-}
-
-fn get_items(fields: &[(String, JVal)], key: &str) -> Result<Vec<u32>, WireError> {
-    let Some((_, JVal::Arr(arr))) = fields.iter().find(|(k, _)| k == key) else {
-        return err(format!("missing array field `{key}`"));
-    };
-    arr.iter()
-        .map(|v| match v {
-            JVal::Num(x) => as_u32(*x, key),
-            _ => err(format!("field `{key}` must hold integers")),
-        })
-        .collect()
-}
-
-/// Decodes one JSON line into a message.
+/// Decodes one JSON line into a message: a typed layer over the
+/// workspace parser, [`systolic_gossip::json`], which caps nesting
+/// depth, so hostile lines return `Err` instead of exhausting the stack.
+///
+/// Rejects numbers above `i64::MAX`, negative numbers, leading zeros
+/// and duplicate keys, none of which [`encode`] emits while `seq` and
+/// `round` stay at or below `i64::MAX`.
 pub fn decode(line: &str) -> Result<Msg, WireError> {
-    let mut p = Parser::new(line);
-    let fields = p.object()?;
-    if p.peek().is_some() {
-        return err("trailing bytes after the object");
+    let v = json::parse(line).map_err(|e| WireError(e.to_string()))?;
+    if !matches!(v, Json::Obj(_)) {
+        return err("expected a JSON object");
     }
-    let Some((_, JVal::Str(ty))) = fields.iter().find(|(k, _)| k == "type") else {
-        return err("missing `type` field");
+    let field = |key: &str| {
+        v.get(key)
+            .ok_or_else(|| WireError(format!("missing field `{key}`")))
     };
-    match ty.as_str() {
+    let u32_field = |key: &str| as_u32(field(key)?, key);
+    let u64_field = |key: &str| as_u64(field(key)?, key);
+    let ty = field("type")?
+        .as_str()
+        .ok_or_else(|| WireError("field `type` must be a string".into()))?;
+    match ty {
         "init" => {
-            let Some((_, JVal::Arr(rounds))) = fields.iter().find(|(k, _)| k == "schedule") else {
-                return err("missing `schedule` field");
+            let Json::Arr(rounds) = field("schedule")? else {
+                return err("field `schedule` must be an array of rounds");
             };
-            let schedule = rounds
-                .iter()
-                .map(|r| match r {
-                    JVal::Arr(ts) => ts
-                        .iter()
-                        .map(|t| match t {
-                            JVal::Num(x) => as_u32(*x, "schedule"),
-                            _ => err("schedule targets must be integers"),
-                        })
-                        .collect(),
-                    _ => err("schedule rounds must be arrays"),
-                })
-                .collect::<Result<Vec<Vec<u32>>, _>>()?;
             Ok(Msg::Init {
-                node: as_u32(get_num(&fields, "node")?, "node")?,
-                n: as_u32(get_num(&fields, "n")?, "n")?,
-                schedule,
+                node: u32_field("node")?,
+                n: u32_field("n")?,
+                schedule: rounds
+                    .iter()
+                    .map(|r| as_ids(r, "schedule"))
+                    .collect::<Result<_, _>>()?,
             })
         }
         "round" => Ok(Msg::Round {
-            round: get_num(&fields, "round")?,
-            from: as_u32(get_num(&fields, "from")?, "from")?,
+            round: u64_field("round")?,
+            from: u32_field("from")?,
         }),
         "gossip" => Ok(Msg::Gossip {
-            from: as_u32(get_num(&fields, "from")?, "from")?,
-            to: as_u32(get_num(&fields, "to")?, "to")?,
-            seq: get_num(&fields, "seq")?,
-            items: get_items(&fields, "items")?,
+            from: u32_field("from")?,
+            to: u32_field("to")?,
+            seq: u64_field("seq")?,
+            items: as_ids(field("items")?, "items")?,
         }),
         "ack" => Ok(Msg::Ack {
-            from: as_u32(get_num(&fields, "from")?, "from")?,
-            to: as_u32(get_num(&fields, "to")?, "to")?,
-            seq: get_num(&fields, "seq")?,
-            items: get_items(&fields, "items")?,
+            from: u32_field("from")?,
+            to: u32_field("to")?,
+            seq: u64_field("seq")?,
+            items: as_ids(field("items")?, "items")?,
         }),
         "done" => Ok(Msg::Done {
-            from: as_u32(get_num(&fields, "from")?, "from")?,
-            round: get_num(&fields, "round")?,
-            count: as_u32(get_num(&fields, "count")?, "count")?,
+            from: u32_field("from")?,
+            round: u64_field("round")?,
+            count: u32_field("count")?,
         }),
         other => err(format!(
             "unknown message type `{other}` (types: init, round, gossip, ack, done)"
@@ -486,9 +357,24 @@ mod tests {
             "{\"type\":\"round\",\"round\":1}",
             "{\"type\":\"gossip\",\"from\":1,\"to\":2,\"seq\":3,\"items\":[\"x\"]}",
             "{\"type\":\"done\",\"from\":1,\"round\":2,\"count\":3}x",
+            // Lines `encode` never emits: above i64::MAX, negative, a
+            // leading zero, a duplicate key, above u32, a fraction.
+            "{\"type\":\"round\",\"round\":9223372036854775808,\"from\":1}",
+            "{\"type\":\"round\",\"round\":-1,\"from\":1}",
+            "{\"type\":\"round\",\"round\":01,\"from\":1}",
+            "{\"type\":\"round\",\"round\":1,\"round\":2,\"from\":1}",
+            "{\"type\":\"round\",\"round\":1,\"from\":4294967296}",
+            "{\"type\":\"round\",\"round\":1.0,\"from\":1}",
         ] {
             assert!(decode(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn deeply_nested_schedule_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000) + &"]".repeat(200_000);
+        let line = format!("{{\"type\":\"init\",\"node\":0,\"n\":1,\"schedule\":{deep}}}");
+        assert!(matches!(decode(&line), Err(WireError(_))));
     }
 
     #[test]

@@ -29,6 +29,8 @@
 //!   generator search, combined graph+state canonicalization for the
 //!   enumerator's isomorph-rejection memo.
 
+#![forbid(unsafe_code)]
+
 pub mod automorphism;
 pub mod codec;
 pub mod digraph;

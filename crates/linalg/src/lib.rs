@@ -21,6 +21,8 @@
 //! use a seeded [xorshift](rng::XorShift64) generator so that test failures
 //! reproduce.
 
+#![forbid(unsafe_code)]
+
 pub mod dense;
 pub mod norm;
 pub mod optimize;

@@ -8,6 +8,8 @@
 //! the paper's Section 4 analysis operates, and [`builders`] provides the
 //! classical protocols used as experimental upper bounds.
 
+#![forbid(unsafe_code)]
+
 pub mod builders;
 pub mod local;
 pub mod mode;

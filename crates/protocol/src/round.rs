@@ -156,24 +156,6 @@ impl Round {
         out
     }
 
-    /// `true` when some vertex is the target of two or more arcs — the
-    /// round then violates the matching condition and row-parallel
-    /// engines must fall back to sequential application.
-    pub fn has_duplicate_targets(&self) -> bool {
-        let Some(max_v) = self.max_vertex() else {
-            return false;
-        };
-        let mut seen = vec![false; max_v + 1];
-        for a in &self.arcs {
-            let t = a.to as usize;
-            if seen[t] {
-                return true;
-            }
-            seen[t] = true;
-        }
-        false
-    }
-
     /// The arc entering `v` in this round, if any. Under the matching
     /// condition there is at most one (full-duplex included).
     pub fn arc_into(&self, v: usize) -> Option<Arc> {
@@ -261,13 +243,6 @@ mod tests {
         let m = Round::new(vec![Arc::new(0, 1), Arc::new(2, 3)]);
         assert!(m.snapshot_sources().is_empty());
         assert!(Round::empty().snapshot_sources().is_empty());
-    }
-
-    #[test]
-    fn duplicate_target_detection() {
-        assert!(!Round::new(vec![Arc::new(0, 1), Arc::new(2, 3)]).has_duplicate_targets());
-        assert!(Round::new(vec![Arc::new(0, 2), Arc::new(1, 2)]).has_duplicate_targets());
-        assert!(!Round::empty().has_duplicate_targets());
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //!   `sg_core::report`);
 //! * [`tables`] — the generic family-table builder behind Figs. 4–8.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod descriptor;
 pub mod registry;

@@ -3,9 +3,9 @@
 //! [`run_batch`] expands every scenario into independent work units (one
 //! family-table row, one network × task, one check set, …), fans the
 //! units out across a `std::thread::scope` worker pool behind an atomic
-//! cursor — the same disjoint-ownership idiom as
-//! `sg_sim::parallel::apply_round_parallel` — and reassembles the
-//! per-unit results into deterministic, scenario-ordered outcomes.
+//! cursor — the same claim-by-cursor idiom as `sg_sim::pool` — and
+//! reassembles the per-unit results into deterministic, scenario-ordered
+//! outcomes.
 //! Expensive intermediates (built digraphs, measured diameters, periodic
 //! delay digraphs) are shared across all units through a
 //! [`crate::cache::BuildCache`], so a period sweep pays for its network

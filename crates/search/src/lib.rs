@@ -34,6 +34,8 @@
 //!   kept as the differential-conformance oracle and the serial
 //!   baseline of the enumeration bench.
 
+#![forbid(unsafe_code)]
+
 pub mod candidate;
 pub mod certificate;
 pub mod driver;

@@ -14,8 +14,8 @@
 //!
 //! The layering, bottom-up:
 //!
-//! * [`json`] — a strict, dependency-free JSON parser (the workspace is
-//!   offline; the serializer half already lives in `sg_core::report`);
+//! * [`json`] — the workspace's strict JSON parser, re-exported from
+//!   `systolic_gossip::json` next to the `to_json_line` emitter;
 //! * [`protocol`] — typed requests ([`Request`], [`Query`]) with a
 //!   round-trippable wire form, plus the canonical network spec
 //!   ([`protocol::net_spec`]) and build-free order estimates;
@@ -31,11 +31,14 @@
 //! * [`client`] — a blocking JSONL [`Client`] for tests, scripts and
 //!   the `sg-serve-bench` load generator.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod engine;
-pub mod json;
 pub mod protocol;
 pub mod server;
+
+pub use systolic_gossip::json;
 
 pub use client::Client;
 pub use engine::{EngineConfig, EngineStats, QueryEngine};

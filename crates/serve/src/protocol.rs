@@ -22,7 +22,7 @@
 //! A malformed line never kills the connection — the reply describes the
 //! problem and the next line is parsed fresh.
 
-use crate::json::{self, Json};
+use systolic_gossip::json::{self, Json};
 use systolic_gossip::sg_bounds::pfun::Period;
 use systolic_gossip::sg_protocol::mode::Mode;
 use systolic_gossip::{to_json_line, Network, Row};

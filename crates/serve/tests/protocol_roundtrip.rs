@@ -1,7 +1,8 @@
 //! Property tests of the JSONL wire protocol: every request type
 //! serializes to a line that parses back to an equal request, network
-//! specs invert across all 18 families at arbitrary parameters, and
-//! reply framing survives hostile message content.
+//! specs invert across all 18 families at arbitrary parameters, reply
+//! framing survives hostile message content, and hostile strings make
+//! the shared JSON parser and both wire decoders return, never panic.
 
 use proptest::prelude::*;
 use sg_serve::json::{self, Json};
@@ -49,6 +50,50 @@ fn mode_for(net: &Network, m: usize) -> Mode {
     } else {
         [Mode::Directed, Mode::HalfDuplex, Mode::FullDuplex][m % 3]
     }
+}
+
+/// Fragments that steer random strings into every parser branch.
+const TOKENS: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    ",",
+    ":",
+    "\"",
+    "\\",
+    "\\u",
+    "\\ud83d",
+    "\\udc00",
+    "-",
+    "01",
+    "7",
+    "1e",
+    ".5",
+    "true",
+    "nul",
+    "null",
+    "9223372036854775808",
+    "\"type\"",
+    "\"init\"",
+    "\"schedule\"",
+    "\"op\"",
+    "\"bound\"",
+    "\"net\"",
+];
+
+/// Up to 64 pieces, each a token, an ASCII character (controls
+/// included) or any character at all.
+fn hostile_string() -> impl Strategy<Value = String> {
+    let piece = (0usize..3, 0usize..TOKENS.len(), 0u32..0x11_0000);
+    proptest::collection::vec(piece, 0..64).prop_map(|pieces| {
+        let piece = |(k, t, c): (usize, usize, u32)| match k {
+            0 => TOKENS[t].to_string(),
+            1 => char::from(c as u8 & 0x7f).to_string(),
+            _ => char::from_u32(c).unwrap_or('\u{fffd}').to_string(),
+        };
+        pieces.into_iter().map(piece).collect()
+    })
 }
 
 /// Builds one request from raw draws; `op` selects the query type.
@@ -148,6 +193,13 @@ proptest! {
         prop_assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
         prop_assert_eq!(v.get("error").and_then(Json::as_str), Some(msg.as_str()));
         prop_assert_eq!(v.get("id").and_then(Json::as_int), id);
+    }
+
+    #[test]
+    fn hostile_strings_never_panic_the_parsers(s in hostile_string()) {
+        let _ = json::parse(&s);
+        let _ = sg_exec::decode(&s);
+        let _ = Request::parse(&s);
     }
 
     /// Ok replies carry the body fields and echo the id.

@@ -1,11 +1,11 @@
 //! Persistent worker pool: round application without per-round spawning.
 //!
-//! The retired row-parallel path ([`crate::parallel`]) pays two taxes on
-//! every single round: `std::thread::scope` spawns and joins OS threads,
-//! and the arc list is carved into one fixed chunk per thread, so one
-//! slow chunk idles every other worker. Both costs dwarf the actual work
-//! — a round of a compiled schedule is a few hundred word-OR sweeps —
-//! which is how an 8-thread engine ends up *slower* than the naive
+//! A row-parallel round applier built on `std::thread::scope` pays two
+//! taxes on every single round: it spawns and joins OS threads, and it
+//! carves the arc list into one fixed chunk per thread, so one slow
+//! chunk idles every other worker. Both costs dwarf the actual work — a
+//! round of a compiled schedule is a few hundred word-OR sweeps — which
+//! is how such an 8-thread engine ended up *slower* than the naive
 //! reference (0.657× on hypercube n = 2048 before this module existed).
 //!
 //! [`PoolEngine`] fixes the lifecycle: workers are spawned **once** when

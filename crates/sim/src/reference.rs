@@ -5,9 +5,9 @@
 //! reads the knowledge state *at the beginning of that round*. It
 //! re-derives its snapshot plan from scratch every round and clones a
 //! `⌈n/64⌉`-word row per arc, which is exactly why the hot paths moved to
-//! [`crate::schedule`] and [`crate::frontier`] — and exactly why this
-//! version is trustworthy: it is small, direct, and does no caching that
-//! could go stale. The differential conformance suite and the property
+//! [`crate::schedule`], [`crate::pool`] and [`crate::sparse`] — and
+//! exactly why this version is trustworthy: it is small, direct, and
+//! does no caching that could go stale. The differential conformance suite and the property
 //! tests compare every optimized engine against it bit for bit.
 
 use crate::bitset::Knowledge;
@@ -112,8 +112,8 @@ fn run_rounds_reference<'a>(
     }
 }
 
-/// Gossip time under the naive engine — the oracle the compiled,
-/// frontier, and parallel gossip times must reproduce exactly.
+/// Gossip time under the naive engine — the oracle the compiled, pool
+/// and sparse gossip times must reproduce exactly.
 pub fn systolic_gossip_time_reference(
     sp: &SystolicProtocol,
     n: usize,

@@ -174,12 +174,6 @@ impl CompiledSchedule {
         self.rounds.len()
     }
 
-    /// Whether round `time % s` can be applied row-parallel (its targets
-    /// are pairwise distinct).
-    pub fn round_is_parallel_safe(&self, time: usize) -> bool {
-        !self.rounds.is_empty() && self.rounds[time % self.rounds.len()].distinct_targets
-    }
-
     pub(crate) fn round(&self, time: usize) -> &CompiledRound {
         &self.rounds[time % self.rounds.len()]
     }

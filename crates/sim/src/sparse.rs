@@ -12,11 +12,11 @@
 //! marker, incoming arcs short-circuit, and outgoing arcs complete their
 //! targets in O(1).
 //!
-//! Propagation reuses the frontier machinery of [`crate::frontier`]
-//! verbatim: per-vertex version counters bumped at end-of-round, per-arc
-//! `seen` versions, per-pair version pairs, and the same fixed-point
-//! early exit. On top of that, a row that changed records *which runs
-//! were added* in that bump. An arc whose `seen` version is exactly one
+//! Propagation is exact *frontier* (delta) propagation: per-vertex
+//! version counters bumped at end-of-round, per-arc `seen` versions,
+//! per-pair version pairs, and a fixed-point early exit once a whole
+//! period changes nothing. On top of that, a row that changed records
+//! *which runs were added* in that bump. An arc whose `seen` version is exactly one
 //! behind its source then unions only that delta into its target —
 //! exact, because `seen = v−1` certifies the target already contains the
 //! source's version-`v−1` content, so the delta is all the arc could
@@ -653,7 +653,7 @@ pub struct SparseEngine {
     /// In-round accumulators for the next delta.
     pending: Vec<Vec<(u32, u32)>>,
     pending_ok: Vec<bool>,
-    /// Reusable per-round scratch, as in the frontier engine.
+    /// Reusable per-round scratch.
     active: Vec<bool>,
     slot_needed: Vec<bool>,
     /// Snapshot slots: row representations cloned at round start.
@@ -978,7 +978,7 @@ pub fn run_systolic_sparse_with_limit(
         idle_rounds = if changed { 0 } else { idle_rounds + 1 };
         if idle_rounds >= s {
             // Fixed point of the period: pad the trace exactly like the
-            // frontier engine (and hence the reference) would.
+            // reference would.
             if trace {
                 let stuck = engine.min_count();
                 trace_vec.resize(max_rounds, stuck);

@@ -3,7 +3,6 @@
 //! protocol is from the lower bounds.
 
 use crate::bitset::Knowledge;
-use crate::parallel::apply_round_parallel;
 use crate::pool::PoolEngine;
 use crate::schedule::CompiledSchedule;
 use sg_protocol::protocol::SystolicProtocol;
@@ -49,33 +48,6 @@ pub fn knowledge_curve(sp: &SystolicProtocol, n: usize, max_rounds: usize) -> Ve
     let mut out = Vec::new();
     for i in 0..max_rounds {
         sched.apply(&mut k, i);
-        let s = stats_after(&k, i + 1);
-        out.push(s);
-        if s.min == n {
-            break;
-        }
-    }
-    out
-}
-
-/// [`knowledge_curve`] with each round's row writes split across
-/// `threads` workers — bit-identical output (the parallel round applier
-/// is exact), only faster for large `n`. Falls back to the sequential
-/// path per round when a round is too small or violates the matching
-/// condition.
-pub fn knowledge_curve_parallel(
-    sp: &SystolicProtocol,
-    n: usize,
-    max_rounds: usize,
-    threads: usize,
-) -> Vec<RoundStats> {
-    if threads <= 1 {
-        return knowledge_curve(sp, n, max_rounds);
-    }
-    let mut k = Knowledge::initial(n);
-    let mut out = Vec::new();
-    for i in 0..max_rounds {
-        apply_round_parallel(&mut k, sp.round_at(i), threads);
         let s = stats_after(&k, i + 1);
         out.push(s);
         if s.min == n {
@@ -155,21 +127,6 @@ mod tests {
         for s in knowledge_curve(&sp, 16, 200) {
             assert!(s.min as f64 <= s.mean && s.mean <= s.max as f64);
         }
-    }
-
-    #[test]
-    fn parallel_curve_identical_to_sequential() {
-        // Large enough that rounds clear the parallel engine's size gate.
-        let sp = builders::hypercube_sweep(7);
-        let seq = knowledge_curve(&sp, 128, 50);
-        let par = knowledge_curve_parallel(&sp, 128, 50, 4);
-        assert_eq!(seq, par);
-        // And on a protocol whose rounds are tiny (fallback path).
-        let sp = builders::path_rrll(6);
-        assert_eq!(
-            knowledge_curve(&sp, 6, 100),
-            knowledge_curve_parallel(&sp, 6, 100, 4)
-        );
     }
 
     #[test]

@@ -1,59 +1,24 @@
 //! Differential conformance suite: every protocol of every scenario in
-//! the registry, run through the compiled engine, the frontier engine,
-//! the parallel engine, the persistent-pool engine, and the sparse
-//! delta engine against the retained naive reference — with identical
-//! `completed_at` AND identical knowledge traces required.
+//! the registry, run through the three production engines — compiled,
+//! persistent pool, and sparse delta — against the retained naive
+//! reference, with identical `completed_at` AND identical knowledge
+//! traces required.
 //!
 //! The reference engine (`sg_sim::reference`) is the oracle: it is the
 //! original, allocation-heavy, obviously-correct implementation of
-//! Definition 3.1. The optimized engines each take a different shortcut
-//! (precompiled snapshot plans, delta skipping, row-parallel writes,
-//! persistent work-stealing dispatch, run-compressed rows), so
-//! agreement across all of them on the whole workload zoo pins the
-//! semantics from independent directions.
+//! Definition 3.1. The production engines each take a different shortcut
+//! (precompiled snapshot plans, persistent work-stealing dispatch,
+//! run-compressed rows with delta skipping), so agreement across all of
+//! them on the whole workload zoo pins the semantics from independent
+//! directions.
 
-use sg_protocol::protocol::SystolicProtocol;
 use sg_scenario::descriptor::protocol_for;
 use sg_scenario::registry;
 use sg_sim::engine::{run_systolic, run_systolic_with_horizon};
-use sg_sim::frontier::run_systolic_frontier;
-use sg_sim::parallel::apply_round_parallel;
 use sg_sim::pool::run_systolic_pool;
 use sg_sim::reference::run_systolic_reference;
 use sg_sim::sparse::run_systolic_sparse;
-use sg_sim::{Knowledge, SimResult};
-
-/// Runs the parallel engine with the same tracing surface as the other
-/// three (there is no `run_systolic_parallel`; the loop is the runner's).
-fn run_systolic_parallel(
-    sp: &SystolicProtocol,
-    n: usize,
-    max_rounds: usize,
-    threads: usize,
-) -> SimResult {
-    let mut k = Knowledge::initial(n);
-    let mut trace = Vec::new();
-    if k.all_complete() {
-        return SimResult {
-            completed_at: Some(0),
-            trace,
-        };
-    }
-    for i in 0..max_rounds {
-        apply_round_parallel(&mut k, sp.round_at(i), threads);
-        trace.push(k.min_count());
-        if k.all_complete() {
-            return SimResult {
-                completed_at: Some(i + 1),
-                trace,
-            };
-        }
-    }
-    SimResult {
-        completed_at: None,
-        trace,
-    }
-}
+use sg_sim::Knowledge;
 
 #[test]
 fn all_registry_protocols_agree_across_engines() {
@@ -87,8 +52,6 @@ fn all_registry_protocols_agree_across_engines() {
 
             let oracle = run_systolic_reference(&sp, n, budget, true);
             let compiled = run_systolic(&sp, n, budget, true);
-            let frontier = run_systolic_frontier(&sp, n, budget, true);
-            let parallel = run_systolic_parallel(&sp, n, budget, 4);
             let pool = run_systolic_pool(&sp, n, budget, 4, true);
             let sparse = run_systolic_sparse(&sp, n, budget, true);
 
@@ -102,14 +65,6 @@ fn all_registry_protocols_agree_across_engines() {
                 "{label}: compiled completed_at"
             );
             assert_eq!(
-                frontier.completed_at, oracle.completed_at,
-                "{label}: frontier completed_at"
-            );
-            assert_eq!(
-                parallel.completed_at, oracle.completed_at,
-                "{label}: parallel completed_at"
-            );
-            assert_eq!(
                 pool.completed_at, oracle.completed_at,
                 "{label}: pool completed_at"
             );
@@ -118,8 +73,6 @@ fn all_registry_protocols_agree_across_engines() {
                 "{label}: sparse completed_at"
             );
             assert_eq!(compiled.trace, oracle.trace, "{label}: compiled trace");
-            assert_eq!(frontier.trace, oracle.trace, "{label}: frontier trace");
-            assert_eq!(parallel.trace, oracle.trace, "{label}: parallel trace");
             assert_eq!(pool.trace, oracle.trace, "{label}: pool trace");
             assert_eq!(sparse.trace, oracle.trace, "{label}: sparse trace");
             assert!(
@@ -171,22 +124,15 @@ fn final_knowledge_states_are_bit_identical() {
             let mut oracle = Knowledge::initial(n);
             let mut sched = sg_sim::CompiledSchedule::compile(sp.period(), n);
             let mut compiled = Knowledge::initial(n);
-            let mut engine = sg_sim::FrontierEngine::for_protocol(&sp, n);
-            let mut frontier = Knowledge::initial(n);
-            let mut parallel = Knowledge::initial(n);
             let mut pool_engine = sg_sim::PoolEngine::for_protocol(&sp, n, 3);
             let mut pool = Knowledge::initial(n);
             let mut sparse_engine = sg_sim::SparseEngine::for_protocol(&sp, n);
             for i in 0..6 * sp.s() + 20 {
                 sg_sim::apply_round_reference(&mut oracle, sp.round_at(i));
                 sched.apply(&mut compiled, i);
-                engine.apply(&mut frontier, i);
-                apply_round_parallel(&mut parallel, sp.round_at(i), 3);
                 pool_engine.apply(&mut pool, i);
                 sparse_engine.apply(i);
                 assert_eq!(compiled, oracle, "{}: compiled, round {i}", net.name());
-                assert_eq!(frontier, oracle, "{}: frontier, round {i}", net.name());
-                assert_eq!(parallel, oracle, "{}: parallel, round {i}", net.name());
                 assert_eq!(pool, oracle, "{}: pool, round {i}", net.name());
                 assert_eq!(
                     sparse_engine.to_dense(),

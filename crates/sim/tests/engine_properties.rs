@@ -6,8 +6,6 @@ use sg_graphs::digraph::Arc;
 use sg_protocol::round::Round;
 use sg_sim::bitset::Knowledge;
 use sg_sim::engine::apply_round;
-use sg_sim::frontier::FrontierEngine;
-use sg_sim::parallel::apply_round_parallel;
 use sg_sim::pool::PoolEngine;
 use sg_sim::reference::apply_round_reference;
 use sg_sim::schedule::CompiledSchedule;
@@ -77,105 +75,6 @@ proptest! {
         }
     }
 
-    /// The thread-parallel engine is bit-identical to the sequential
-    /// one, including on rounds with duplicate targets (where it must
-    /// fall back).
-    #[test]
-    fn parallel_matches_sequential(
-        rounds in proptest::collection::vec(arcs_strategy(70), 1..4)
-    ) {
-        let n = 70;
-        let mut seq = Knowledge::initial(n);
-        let mut par = Knowledge::initial(n);
-        for arcs in &rounds {
-            let round = Round::new(arcs.clone());
-            apply_round(&mut seq, &round);
-            apply_round_parallel(&mut par, &round, 4);
-        }
-        prop_assert_eq!(seq, par);
-    }
-
-    /// Distinct-target rounds with ≥ 64 arcs take the unsafe
-    /// disjoint-row fast path (not the sequential fallback); it must
-    /// still agree with the sequential engine bit for bit, for any
-    /// thread count.
-    #[test]
-    fn parallel_fast_path_matches_sequential(
-        perm_seed in 0u64..10_000,
-        threads in 2usize..9,
-        rounds in 1usize..5,
-    ) {
-        // n = 96 ≥ 64 arcs per round: every round is a permutation
-        // σ(v) ← v (all targets distinct), so the parallel fast path is
-        // exercised, never the fallback.
-        let n = 96;
-        let mut seq = Knowledge::initial(n);
-        let mut par = Knowledge::initial(n);
-        let mut state = perm_seed;
-        for _ in 0..rounds {
-            let mut targets: Vec<usize> = (0..n).collect();
-            // Deterministic Fisher–Yates from the seed.
-            for i in (1..n).rev() {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let j = (state >> 33) as usize % (i + 1);
-                targets.swap(i, j);
-            }
-            let arcs: Vec<Arc> = (0..n)
-                .filter(|&v| targets[v] != v)
-                .map(|v| Arc::new(v, targets[v]))
-                .collect();
-            prop_assert!(arcs.len() >= 64, "permutation with too many fixpoints");
-            let round = Round::new(arcs);
-            apply_round(&mut seq, &round);
-            apply_round_parallel(&mut par, &round, threads);
-        }
-        prop_assert_eq!(seq, par);
-    }
-
-    /// Large rounds with a guaranteed duplicate target must take the
-    /// sequential fallback inside `apply_round_parallel` and still agree
-    /// with `apply_round`.
-    #[test]
-    fn parallel_duplicate_target_fallback_matches_sequential(
-        arcs in arcs_strategy(80),
-        dup_target in 0usize..80,
-    ) {
-        let n = 80;
-        // Extend to ≥ 64 arcs so the size gate passes, then force a
-        // duplicate target so the disjointness check must reject.
-        let mut arcs = arcs;
-        let mut v = 0usize;
-        while arcs.len() < 66 {
-            if v != dup_target {
-                arcs.push(Arc::new(v, dup_target));
-            }
-            v += 1;
-        }
-        let far = (dup_target + 40) % n;
-        arcs.push(Arc::new(far, dup_target));
-        let another = (dup_target + 41) % n;
-        if another != dup_target {
-            arcs.push(Arc::new(another, dup_target));
-        }
-        let round = Round::new(arcs);
-        // The round really does carry a duplicate target after Round::new
-        // dedups exact-duplicate arcs.
-        let mut seen = vec![0usize; n];
-        for a in round.arcs() {
-            seen[a.to as usize] += 1;
-        }
-        prop_assert!(seen[dup_target] >= 2, "no duplicate target survived");
-        prop_assert!(round.arcs().len() >= 64);
-
-        let mut seq = Knowledge::initial(n);
-        let mut par = Knowledge::initial(n);
-        apply_round(&mut seq, &round);
-        apply_round_parallel(&mut par, &round, 4);
-        prop_assert_eq!(seq, par);
-    }
-
     /// Knowledge counts never decrease and the total grows by at most
     /// (items transferable per arc) per round.
     #[test]
@@ -211,27 +110,6 @@ proptest! {
         let mut oracle = Knowledge::initial(n);
         for i in 0..cycles * rounds.len() {
             let a = sched.apply(&mut fast, i);
-            let b = apply_round_reference(&mut oracle, &rounds[i % rounds.len()]);
-            prop_assert_eq!(a, b, "changed flag diverged at round {}", i);
-            prop_assert_eq!(&fast, &oracle, "state diverged at round {}", i);
-        }
-    }
-
-    /// The frontier engine — with its arc skipping — is also bit-for-bit
-    /// the reference applier on arbitrary arc sets over many periods
-    /// (skipping only pays off after the first cycle, so replay several).
-    #[test]
-    fn frontier_matches_reference_on_wild_rounds(
-        period in proptest::collection::vec(wild_arcs_strategy(11), 1..5),
-        cycles in 1usize..6,
-    ) {
-        let n = 11;
-        let rounds: Vec<Round> = period.iter().cloned().map(Round::new).collect();
-        let mut engine = FrontierEngine::new(CompiledSchedule::compile(&rounds, n));
-        let mut fast = Knowledge::initial(n);
-        let mut oracle = Knowledge::initial(n);
-        for i in 0..cycles * rounds.len() {
-            let a = engine.apply(&mut fast, i);
             let b = apply_round_reference(&mut oracle, &rounds[i % rounds.len()]);
             prop_assert_eq!(a, b, "changed flag diverged at round {}", i);
             prop_assert_eq!(&fast, &oracle, "state diverged at round {}", i);
@@ -392,11 +270,6 @@ fn chain_with_self_loop_and_duplicate_target_pins_semantics() {
     sched.apply(&mut compiled, 0);
     assert_eq!(compiled, oracle);
 
-    let mut engine = FrontierEngine::new(CompiledSchedule::compile(&rounds, n));
-    let mut frontier = Knowledge::initial(n);
-    engine.apply(&mut frontier, 0);
-    assert_eq!(frontier, oracle);
-
     let mut pool_engine = PoolEngine::new(CompiledSchedule::compile(&rounds, n), 4);
     let mut pool = Knowledge::initial(n);
     pool_engine.apply(&mut pool, 0);
@@ -406,17 +279,15 @@ fn chain_with_self_loop_and_duplicate_target_pins_semantics() {
     sparse_engine.apply(0);
     assert_eq!(sparse_engine.to_dense(), oracle);
 
-    // Replaying the same round until saturation keeps all six in step.
+    // Replaying the same round until saturation keeps all five in step.
     for i in 1..8 {
         apply_round_reference(&mut oracle, &round);
         apply_round(&mut one_shot, &round);
         sched.apply(&mut compiled, i);
-        engine.apply(&mut frontier, i);
         pool_engine.apply(&mut pool, i);
         sparse_engine.apply(i);
         assert_eq!(one_shot, oracle);
         assert_eq!(compiled, oracle);
-        assert_eq!(frontier, oracle);
         assert_eq!(pool, oracle);
         assert_eq!(sparse_engine.to_dense(), oracle);
     }

@@ -8,6 +8,8 @@
 //! times `sample_size` iterations, and prints min / median / mean wall
 //! times. No statistical analysis, plots or baselines.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 /// Recorded outcome of one benchmark — what real criterion would write

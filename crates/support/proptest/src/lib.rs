@@ -17,6 +17,8 @@
 //!   stream from an FNV hash of its module path, so failures reproduce
 //!   across runs without a persistence file.
 
+#![forbid(unsafe_code)]
+
 pub mod strategy;
 pub mod test_runner;
 

@@ -10,6 +10,8 @@
 //! relies on: reproducible shuffles and uniform draws, not
 //! cryptographic quality or bit-compatibility with upstream `rand`.
 
+#![forbid(unsafe_code)]
+
 /// Core random-source trait: the subset of `rand::Rng` the workspace
 /// calls (`gen`, `gen_range` over `usize`, and the raw 64-bit stream).
 pub trait Rng {

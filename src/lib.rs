@@ -6,4 +6,6 @@
 //! cross-crate integration tests; all functionality lives in the member
 //! crates and is re-exported through [`systolic_gossip`].
 
+#![forbid(unsafe_code)]
+
 pub use systolic_gossip::*;
