@@ -9,10 +9,12 @@
 //! n ≥ 1024 gossip executions: the retained naive `reference` oracle,
 //! the `compiled` schedule hot path, the persistent work-stealing
 //! `pool` engine, and the run-compressed `sparse` delta engine. A second group,
-//! `sim_large`, records the sparse engine's production sizes — up to
-//! the n ≈ 10⁶ Knödel gossip point that dense engines cannot represent
-//! (the n × n bit table alone would be 125 GB). `SG_BENCH_FAST=1`
-//! shrinks sample counts and sizes for CI smoke runs;
+//! `sim_large`, records the large-instance driver's production sizes —
+//! up to the n ≈ 10⁶ Knödel gossip point that dense engines cannot
+//! represent (the n × n bit table alone would be 125 GB). Knödel rows
+//! stay interval runs, so those points stay on the sparse engine; the
+//! random 3-regular points hand off to the item-sliced engine.
+//! `SG_BENCH_FAST=1` shrinks sample counts and sizes for CI smoke runs;
 //! `SG_BENCH_ENFORCE_POOL=1` turns the pool-vs-reference speedup on
 //! hypercube n = 2048 into a hard floor (≥ 1.0× or the harness panics).
 
@@ -22,6 +24,7 @@ use rand::SeedableRng;
 use systolic_gossip::prelude::*;
 use systolic_gossip::sg_sim::pool::PoolEngine;
 use systolic_gossip::sg_sim::reference::systolic_gossip_time_reference;
+use systolic_gossip::sg_sim::sliced::run_systolic_large;
 use systolic_gossip::sg_sim::sparse::systolic_gossip_time_sparse;
 
 fn fast_mode() -> bool {
@@ -90,10 +93,11 @@ fn bench_engine_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-/// The sparse engine's production sizes: networks whose dense bit table
-/// would not fit in memory. Each entry times one full gossip execution
-/// (protocol construction excluded); the headline is the n = 2²⁰ Knödel
-/// graph — a million-vertex gossip measured in seconds. Labels are
+/// The large-instance driver's production sizes: networks whose dense
+/// bit table would not fit in memory. Each entry times one full gossip
+/// execution (protocol construction excluded) on `pool_threads()`
+/// threads; the headline is the n = 2²⁰ Knödel graph — a
+/// million-vertex gossip measured in seconds. Labels are
 /// `sim_large/<family>/<n>`.
 fn bench_sim_large(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_large");
@@ -128,6 +132,14 @@ fn bench_sim_large(c: &mut Criterion) {
             (
                 "rr3",
                 Network::RandomRegular {
+                    n: 50_000,
+                    d: 3,
+                    seed: 1997,
+                },
+            ),
+            (
+                "rr3",
+                Network::RandomRegular {
                     n: 100_000,
                     d: 3,
                     seed: 1997,
@@ -143,10 +155,17 @@ fn bench_sim_large(c: &mut Criterion) {
             .reference_protocol()
             .expect("sim_large nets have reference protocols");
         // Generous: every workload either completes or reaches the
-        // sparse engine's fixed-point early exit well within this.
+        // fixed-point early exit well within this.
         let budget = 64 * sp.s() + 4096;
+        let threads = pool_threads();
         g.bench_with_input(BenchmarkId::new(family, n), &sp, |b, sp| {
-            b.iter(|| black_box(systolic_gossip_time_sparse(sp, n, budget)))
+            b.iter(|| {
+                black_box(
+                    run_systolic_large(sp, n, budget, false, None, threads)
+                        .result
+                        .completed_at,
+                )
+            })
         });
     }
     g.finish();

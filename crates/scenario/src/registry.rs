@@ -272,7 +272,7 @@ pub fn registry() -> Vec<Scenario> {
         ]),
         Scenario::new(
             "sim-large-rr",
-            "Random regular graphs at n = 10⁵ and 10⁶: sparse-engine behavior on unstructured rows",
+            "Random regular graphs at n = 10⁵ and 10⁶: unstructured rows hand off from sparse to item-sliced",
             Task::Simulate,
             Mode::HalfDuplex,
         )

@@ -18,9 +18,15 @@
 //! big simulations on a 16-thread budget runs 3 units × 5 row-workers
 //! instead of 3 × 1. Units whose network order reaches
 //! `BatchOptions::large_sim_min_n` (default `LARGE_SIM_MIN_N`, 50 000)
-//! switch to the sparse delta engine (`sg_sim::sparse`), which never
-//! materializes the n²-bit table — judged by `order_hint()` when the
-//! family has one, else by the built graph's real order.
+//! never materialize the n²-bit table — judged by `order_hint()` when the
+//! family has one, else by the built graph's real order. They run
+//! `sg_sim::sliced::run_systolic_large`, which picks the engine by memory
+//! with no knob: the sparse delta engine while its row state stays
+//! within one 256-item slice's working set (n · 32 bytes), then, from the
+//! first round it does not, a restart on the item-sliced engine across
+//! the unit's thread budget. The five engines: compiled and pool (dense,
+//! below the threshold), sparse and item-sliced (large), and the
+//! `reference` oracle.
 
 use crate::cache::{BuildCache, CacheStats};
 use crate::descriptor::{PaperCheck, Scenario, Task, WeightScheme};
@@ -38,7 +44,7 @@ use sg_protocol::local::BlockPattern;
 use sg_protocol::mode::Mode;
 use sg_sim::greedy::greedy_gossip;
 use sg_sim::pool::systolic_gossip_time_pool;
-use sg_sim::sparse::run_systolic_sparse_with_limit;
+use sg_sim::sliced::{run_systolic_large, slice_bytes, SLICE_ITEMS};
 use sg_sim::trace::knowledge_curve_pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -63,11 +69,11 @@ pub struct BatchOptions {
     /// Simulation round budget per protocol execution.
     pub sim_budget: usize,
     /// Order at which simulate units abandon the dense `Knowledge`
-    /// table for the sparse delta engine, and compare units refuse to
-    /// run (defaults to `LARGE_SIM_MIN_N`, 50 000). The gate checks
-    /// `order_hint()` first — so hinted families never even build the
-    /// graph — and falls back to the built graph's real order for the
-    /// hint-less families (trees, butterflies, de Bruijn, Kautz).
+    /// table for the sparse and item-sliced engines, and compare units
+    /// refuse to run (defaults to `LARGE_SIM_MIN_N`, 50 000). The gate
+    /// checks `order_hint()` first — so hinted families never even build
+    /// the graph — and falls back to the built graph's real order for
+    /// the hint-less families (trees, butterflies, de Bruijn, Kautz).
     pub large_sim_min_n: usize,
 }
 
@@ -122,13 +128,17 @@ const WITHIN_UNIT_PARALLEL_MIN_N: usize = 2048;
 /// The default of [`BatchOptions::large_sim_min_n`]: from this order
 /// up, a simulate unit abandons the dense `Knowledge` table (n² bits —
 /// 125 GB at n = 10⁶) and the Ω(n²) bound/audit machinery for the
-/// sparse delta engine: exact completion times, row storage
-/// proportional to the runs actually present.
+/// sparse delta engine and, once its rows stop compressing, the
+/// item-sliced engine: exact completion times without the n²-bit
+/// table.
 const LARGE_SIM_MIN_N: usize = 50_000;
 
-/// Row-storage budget for large sparse units. An unstructured instance
-/// whose rows densify is aborted at this footprint with an explanatory
-/// report instead of an OOM kill (worst case is the dense n²/8 bytes).
+/// Row-storage budget for large sparse units: a run whose sparse state
+/// exceeds it is aborted with an explanatory report instead of an OOM
+/// kill. Rows that densify hand off to the item-sliced engine at one
+/// slice's working set (n · 32 bytes) long before, so only n beyond
+/// ~2·10⁸ can reach it. Random-regular units are still refused upfront
+/// when the dense n²/8 bytes exceed it.
 const LARGE_SIM_MEM_LIMIT: usize = 6 << 30;
 
 fn effective_sim_threads(n: usize, sim_threads: usize) -> usize {
@@ -1036,7 +1046,7 @@ fn simulate_unit(
     // Gate on the hint first so hinted families at large order never
     // build anything dense…
     if let Some(n) = net.order_hint().filter(|&n| n >= opts.large_sim_min_n) {
-        return simulate_large_unit(net, scenario, opts, n);
+        return simulate_large_unit(net, scenario, opts, n, sim_threads);
     }
     let g = cache.digraph(net);
     let n = g.vertex_count();
@@ -1046,7 +1056,7 @@ fn simulate_unit(
     // would be an OOM, not a slowdown. The digraph itself is only
     // O(n + m), so building it to learn n is safe.
     if n >= opts.large_sim_min_n {
-        return simulate_large_unit(net, scenario, opts, n);
+        return simulate_large_unit(net, scenario, opts, n, sim_threads);
     }
     // The shared protocol memo: a serve daemon or a second scenario in
     // the same batch asking for this (network, mode) reuses the build.
@@ -1162,11 +1172,13 @@ fn simulate_unit(
 }
 
 /// Simulate unit for networks at or beyond `opts.large_sim_min_n`:
-/// runs the sparse delta engine and reports completion plus resource
-/// telemetry. Everything Ω(n²) is deliberately absent — no dense
-/// `Knowledge` table, no all-pairs diameter, no λ-search audit, no
-/// protocol validation pass (the builders are conformance-tested at
-/// small n; the sparse engine is bit-identical by the same suite).
+/// runs the large-instance driver (sparse delta engine, handing off to
+/// the item-sliced engine on `sim_threads` threads once rows stop
+/// compressing) and reports completion plus resource telemetry.
+/// Everything Ω(n²) is deliberately absent — no dense `Knowledge`
+/// table, no all-pairs diameter, no λ-search audit, no protocol
+/// validation pass (the builders are conformance-tested at small n; the
+/// sparse and sliced engines are bit-identical by the same suite).
 /// `n` is the network order, supplied by the caller: the `order_hint`
 /// when one exists, else the built graph's real vertex count.
 fn simulate_large_unit(
@@ -1174,6 +1186,7 @@ fn simulate_large_unit(
     scenario: &Scenario,
     opts: &BatchOptions,
     n: usize,
+    sim_threads: usize,
 ) -> UnitOut {
     // Unstructured instances densify: the sparse state can approach the
     // dense n²/8 bytes, so refuse upfront when even that worst case
@@ -1222,8 +1235,14 @@ fn simulate_large_unit(
         };
     }
     let started = std::time::Instant::now();
-    let out =
-        run_systolic_sparse_with_limit(&sp, n, opts.sim_budget, true, Some(LARGE_SIM_MEM_LIMIT));
+    let out = run_systolic_large(
+        &sp,
+        n,
+        opts.sim_budget,
+        true,
+        Some(LARGE_SIM_MEM_LIMIT),
+        sim_threads.max(1),
+    );
     let elapsed = started.elapsed();
 
     let mut rows = vec![Row::new()
@@ -1248,8 +1267,26 @@ fn simulate_large_unit(
                 "incomplete"
             },
         )];
+    // The row keeps `engine: "sparse"` (the benchmark's replay compares
+    // rows field by field); the text names the engine that ran.
+    let mib = |bytes: usize| bytes as f64 / (1u64 << 20) as f64;
+    let engine = match out.handoff {
+        Some(h) => format!(
+            "item-sliced engine ({} items per slice; the sparse state reached {:.2} MiB \
+             in round {}, past one slice's {:.2} MiB, so the run restarted sliced)",
+            SLICE_ITEMS,
+            mib(h.sparse_bytes),
+            h.round,
+            mib(h.slice_bytes),
+        ),
+        None => format!(
+            "sparse delta engine (peak state {:.2} MiB stayed within one slice's {:.2} MiB)",
+            mib(out.peak_bytes),
+            mib(slice_bytes(n)),
+        ),
+    };
     let mut text = format!(
-        "{} — n = {}, s = {}, sparse delta engine (dense table would be {:.1} GiB)\n",
+        "{} — n = {}, s = {}, {engine}; the dense table would be {:.1} GiB\n",
         net.name(),
         n,
         sp.s(),
@@ -1271,9 +1308,9 @@ fn simulate_large_unit(
     }
     match out.result.completed_at {
         Some(t) => text.push_str(&format!(
-            "completed at round {t} in {:.2} s; peak sparse state {:.1} MiB\n",
+            "completed at round {t} in {:.2} s; peak state {:.1} MiB\n",
             elapsed.as_secs_f64(),
-            out.peak_bytes as f64 / (1u64 << 20) as f64,
+            mib(out.peak_bytes),
         )),
         None if out.aborted_mem => text.push_str(&format!(
             "aborted after {} rounds: sparse state exceeded {:.1} GiB\n",

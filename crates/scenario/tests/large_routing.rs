@@ -119,3 +119,45 @@ fn compare_unit_skips_over_threshold_orders_hint_or_not() {
         );
     }
 }
+
+/// RR(4096, 3) through the large-sim path: its rows densify, so the
+/// driver hands off to the item-sliced engine, whose slices spread over
+/// the unit's threads. The rows must not depend on the thread budget
+/// (only the wall-clock `elapsed_ms` may), and the text must name the
+/// engine that actually ran.
+#[test]
+fn large_sim_rows_are_identical_across_thread_budgets() {
+    let net = Network::RandomRegular {
+        n: 4096,
+        d: 3,
+        seed: 7,
+    };
+    let run = |threads: usize| {
+        let opts = BatchOptions {
+            threads,
+            large_sim_min_n: 4096,
+            ..BatchOptions::default()
+        };
+        let report = run_batch(&[simulate_scenario(net)], &opts);
+        let outcome = &report.outcomes[0];
+        let lines: Vec<String> = outcome
+            .rows
+            .iter()
+            .map(|r| {
+                let mut r = r.clone();
+                r.fields.retain(|(name, _)| name != "elapsed_ms");
+                systolic_gossip::to_json_line(&r)
+            })
+            .collect();
+        (lines, outcome.text.join("\n"))
+    };
+    let (one, text) = run(1);
+    let (two, _) = run(2);
+    assert!(
+        one.iter().any(|l| l.contains("\"verdict\":\"completed\"")),
+        "{one:?}"
+    );
+    assert_eq!(one, two);
+    assert!(text.contains("item-sliced engine"), "{text}");
+    assert!(text.contains("so the run restarted sliced"), "{text}");
+}

@@ -12,7 +12,11 @@
 //! pool, and [`sparse`] drops the O(n²)-bit table entirely — rows become
 //! sorted item runs with exact delta propagation (only arcs whose source
 //! changed since their last application are re-applied), which is what
-//! makes n = 10⁶ instances simulable. [`random`] adds the oblivious
+//! makes n = 10⁶ structured instances simulable. [`sliced`] covers the
+//! unstructured ones, whose rows do not compress: it replays the period
+//! per 256-item slice in O(n) words per thread, and its
+//! [`sliced::run_systolic_large`] picks between sparse and sliced by
+//! memory. [`random`] adds the oblivious
 //! randomized baselines (push/pull/exchange over the sparse rows,
 //! counter-seeded trials batched across threads). All engines are
 //! bit-identical to the retained naive oracle in [`mod@reference`],
@@ -32,6 +36,7 @@ pub mod pool;
 pub mod random;
 pub mod reference;
 pub mod schedule;
+pub mod sliced;
 pub mod sparse;
 pub mod trace;
 
@@ -52,8 +57,9 @@ pub use reference::{
     systolic_gossip_time_reference,
 };
 pub use schedule::CompiledSchedule;
+pub use sliced::{run_systolic_large, run_systolic_sliced, slice_bytes, SLICE_ITEMS};
 pub use sparse::{
-    run_systolic_sparse, run_systolic_sparse_with_limit, systolic_gossip_time_sparse, SparseEngine,
-    SparseKnowledge, SparseOutcome,
+    run_systolic_sparse, run_systolic_sparse_with_limit, systolic_gossip_time_sparse, Handoff,
+    SparseEngine, SparseKnowledge, SparseOutcome,
 };
 pub use trace::{knowledge_curve, knowledge_curve_pool, RoundStats};

@@ -293,10 +293,7 @@ impl PoolEngine {
     /// describe it as a worker count.
     pub fn new(sched: CompiledSchedule, threads: usize) -> Self {
         let words = sched.words();
-        let max_slots = (0..sched.round_count())
-            .map(|t| sched.round(t).snap_sources.len())
-            .max()
-            .unwrap_or(0);
+        let max_slots = sched.max_slots();
         let workers = threads.saturating_sub(1);
         Self {
             snap_buf: vec![0u64; max_slots * words],

@@ -49,7 +49,8 @@ pub(crate) struct CompiledRound {
     /// Sorted distinct sources (of the remaining arcs) needing
     /// beginning-of-round snapshots; position = snapshot slot.
     pub(crate) snap_sources: Vec<u32>,
-    /// `true` when all targets are pairwise distinct (row-parallel safe).
+    /// `true` when all targets are pairwise distinct (one source per
+    /// target: the sliced engine then needs no target grouping).
     pub(crate) distinct_targets: bool,
 }
 
@@ -60,7 +61,11 @@ pub struct CompiledSchedule {
     rounds: Vec<CompiledRound>,
     n: usize,
     words: usize,
+    /// Most snapshot slots any round needs.
+    max_slots: usize,
     /// One reusable buffer, `max_slots × words` wide, refilled per round.
+    /// Allocated by the first [`Self::apply`]: the sparse and sliced
+    /// engines reuse the round plan but never touch the dense buffer.
     snap_buf: Vec<u64>,
 }
 
@@ -159,7 +164,8 @@ impl CompiledSchedule {
             rounds: compiled,
             n,
             words,
-            snap_buf: vec![0u64; max_slots * words],
+            max_slots,
+            snap_buf: Vec::new(),
         }
     }
 
@@ -182,6 +188,11 @@ impl CompiledSchedule {
         self.words
     }
 
+    /// Most snapshot slots any single round needs.
+    pub(crate) fn max_slots(&self) -> usize {
+        self.max_slots
+    }
+
     /// Applies the round at `time` (cyclically) to `k`. Allocation-free.
     /// Returns `true` if anything changed anywhere.
     pub fn apply(&mut self, k: &mut Knowledge, time: usize) -> bool {
@@ -190,6 +201,9 @@ impl CompiledSchedule {
             return false;
         }
         let words = self.words;
+        if self.snap_buf.len() < self.max_slots * words {
+            self.snap_buf.resize(self.max_slots * words, 0);
+        }
         let r = &self.rounds[time % self.rounds.len()];
         let mut changed = false;
         // Clean full-duplex pairs: symmetric union, snapshot-free.

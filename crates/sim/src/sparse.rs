@@ -25,6 +25,13 @@
 //! counters still skip all idle arcs), so every path stays bit-exact
 //! against [`crate::reference`] — the conformance suite compares raw
 //! tables via [`SparseEngine::to_dense`].
+//!
+//! Rows of unstructured protocols do not stay runs: on a random regular
+//! graph they spill to dense and the state climbs to the n²/8 bytes of
+//! the dense table. The large-instance driver
+//! ([`crate::sliced::run_systolic_large`]) therefore keeps this engine
+//! only while its state fits in one 256-item slice's working set and
+//! restarts on the item-sliced engine from the first round it does not.
 
 use crate::bitset::Knowledge;
 use crate::engine::SimResult;
@@ -675,10 +682,7 @@ impl SparseEngine {
             .map(|t| vec![(0u64, 0u64); sched.round(t).pairs.len()])
             .collect();
         let max_arcs = seen.iter().map(Vec::len).max().unwrap_or(0);
-        let max_slots = (0..sched.round_count())
-            .map(|t| sched.round(t).snap_sources.len())
-            .max()
-            .unwrap_or(0);
+        let max_slots = sched.max_slots();
         Self {
             state: SparseState::new(n),
             ver: vec![1u64; n],
@@ -903,8 +907,9 @@ fn note_change(
     }
 }
 
-/// Outcome of a sparse run: the usual [`SimResult`] plus the resource
-/// telemetry large-n callers report.
+/// Outcome of a large-instance run ([`crate::sliced::run_systolic_large`]):
+/// the usual [`SimResult`] plus the resource telemetry large-n callers
+/// report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparseOutcome {
     /// Completion time and (optional) min-count trace, bit-identical to
@@ -912,36 +917,59 @@ pub struct SparseOutcome {
     pub result: SimResult,
     /// Rounds actually executed (fixed-point exits stop early).
     pub rounds_run: usize,
-    /// Peak approximate heap bytes of the row representations.
+    /// Peak approximate heap bytes of the knowledge state: the sparse
+    /// rows, or after a hand-off the larger of the sparse peak and one
+    /// slice's working set.
     pub peak_bytes: usize,
     /// `true` when the run stopped because `mem_limit` was exceeded.
     pub aborted_mem: bool,
+    /// Set when the rows stopped compressing and the run restarted on
+    /// the item-sliced engine; `None` when it stayed sparse.
+    pub handoff: Option<Handoff>,
 }
 
-/// Runs a systolic protocol through the sparse engine, stopping early if
-/// the row storage exceeds `mem_limit` bytes (a graceful out for
-/// unstructured instances whose rows densify — the alternative is an
-/// OOM kill at n²/8 bytes).
-pub fn run_systolic_sparse_with_limit(
+/// Why a large run left the sparse engine: the first round whose sparse
+/// state outgrew one slice's working set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Handoff {
+    /// The sparse round (1-based) whose state crossed the threshold.
+    pub round: usize,
+    /// Sparse state bytes after that round.
+    pub sparse_bytes: usize,
+    /// One slice's working set, `n · SLICE_ITEMS / 8` bytes.
+    pub slice_bytes: usize,
+}
+
+/// Runs a systolic protocol through the sparse engine. Stops early with
+/// `aborted_mem` if the row storage exceeds `mem_limit` bytes (a graceful
+/// out for rows that densify — the alternative is an OOM kill at n²/8
+/// bytes), and returns `Err` in the first round whose state exceeds
+/// `handoff_above` bytes (checked after completion and `mem_limit`).
+pub(crate) fn run_sparse(
     sp: &SystolicProtocol,
     n: usize,
     max_rounds: usize,
     trace: bool,
     mem_limit: Option<usize>,
-) -> SparseOutcome {
+    handoff_above: usize,
+) -> Result<SparseOutcome, Handoff> {
     let mut engine = SparseEngine::for_protocol(sp, n);
     let mut trace_vec = Vec::new();
     let mut peak = engine.state_bytes();
-    if engine.all_complete() {
-        return SparseOutcome {
+    let done = |completed_at, trace, rounds_run, peak_bytes, aborted_mem| {
+        Ok(SparseOutcome {
             result: SimResult {
-                completed_at: Some(0),
-                trace: trace_vec,
+                completed_at,
+                trace,
             },
-            rounds_run: 0,
-            peak_bytes: peak,
-            aborted_mem: false,
-        };
+            rounds_run,
+            peak_bytes,
+            aborted_mem,
+            handoff: None,
+        })
+    };
+    if engine.all_complete() {
+        return done(Some(0), trace_vec, 0, peak, false);
     }
     let s = engine.round_count().max(1);
     let mut idle_rounds = 0usize;
@@ -952,28 +980,20 @@ pub fn run_systolic_sparse_with_limit(
         if trace {
             trace_vec.push(engine.min_count());
         }
-        peak = peak.max(engine.state_bytes());
+        let bytes = engine.state_bytes();
+        peak = peak.max(bytes);
         if engine.all_complete() {
-            return SparseOutcome {
-                result: SimResult {
-                    completed_at: Some(i + 1),
-                    trace: trace_vec,
-                },
-                rounds_run,
-                peak_bytes: peak,
-                aborted_mem: false,
-            };
+            return done(Some(i + 1), trace_vec, rounds_run, peak, false);
         }
-        if mem_limit.is_some_and(|limit| engine.state_bytes() > limit) {
-            return SparseOutcome {
-                result: SimResult {
-                    completed_at: None,
-                    trace: trace_vec,
-                },
-                rounds_run,
-                peak_bytes: peak,
-                aborted_mem: true,
-            };
+        if mem_limit.is_some_and(|limit| bytes > limit) {
+            return done(None, trace_vec, rounds_run, peak, true);
+        }
+        if bytes > handoff_above {
+            return Err(Handoff {
+                round: rounds_run,
+                sparse_bytes: bytes,
+                slice_bytes: handoff_above,
+            });
         }
         idle_rounds = if changed { 0 } else { idle_rounds + 1 };
         if idle_rounds >= s {
@@ -986,15 +1006,20 @@ pub fn run_systolic_sparse_with_limit(
             break;
         }
     }
-    SparseOutcome {
-        result: SimResult {
-            completed_at: None,
-            trace: trace_vec,
-        },
-        rounds_run,
-        peak_bytes: peak,
-        aborted_mem: false,
-    }
+    done(None, trace_vec, rounds_run, peak, false)
+}
+
+/// [`crate::sliced::run_systolic_large`] on one thread: the sparse
+/// engine, handing off to the item-sliced engine once the rows stop
+/// compressing, and aborting past `mem_limit` bytes of sparse state.
+pub fn run_systolic_sparse_with_limit(
+    sp: &SystolicProtocol,
+    n: usize,
+    max_rounds: usize,
+    trace: bool,
+    mem_limit: Option<usize>,
+) -> SparseOutcome {
+    crate::sliced::run_systolic_large(sp, n, max_rounds, trace, mem_limit, 1)
 }
 
 /// Runs a systolic protocol through the sparse engine; output is
@@ -1006,7 +1031,9 @@ pub fn run_systolic_sparse(
     max_rounds: usize,
     trace: bool,
 ) -> SimResult {
-    run_systolic_sparse_with_limit(sp, n, max_rounds, trace, None).result
+    run_sparse(sp, n, max_rounds, trace, None, usize::MAX)
+        .expect("no state exceeds usize::MAX bytes")
+        .result
 }
 
 /// Sparse variant of [`crate::engine::systolic_gossip_time`]; exact,

@@ -1,24 +1,26 @@
 //! Differential conformance suite: every protocol of every scenario in
-//! the registry, run through the three production engines — compiled,
-//! persistent pool, and sparse delta — against the retained naive
-//! reference, with identical `completed_at` AND identical knowledge
-//! traces required.
+//! the registry, run through the four production engines — compiled,
+//! persistent pool, sparse delta and item-sliced — against the retained
+//! naive reference, with identical `completed_at` AND identical
+//! knowledge traces required.
 //!
 //! The reference engine (`sg_sim::reference`) is the oracle: it is the
 //! original, allocation-heavy, obviously-correct implementation of
 //! Definition 3.1. The production engines each take a different shortcut
 //! (precompiled snapshot plans, persistent work-stealing dispatch,
-//! run-compressed rows with delta skipping), so agreement across all of
-//! them on the whole workload zoo pins the semantics from independent
-//! directions.
+//! run-compressed rows with delta skipping, relabelled 256-item slices
+//! with a trace rebuilt from per-thread gain counts), so agreement across
+//! all of them on the whole workload zoo pins the semantics from
+//! independent directions.
 
 use sg_scenario::descriptor::protocol_for;
 use sg_scenario::registry;
 use sg_sim::engine::{run_systolic, run_systolic_with_horizon};
 use sg_sim::pool::run_systolic_pool;
 use sg_sim::reference::run_systolic_reference;
+use sg_sim::sliced::{run_systolic_large, run_systolic_sliced, slice_bytes};
 use sg_sim::sparse::run_systolic_sparse;
-use sg_sim::Knowledge;
+use sg_sim::{systolic_broadcast_time, Knowledge};
 
 #[test]
 fn all_registry_protocols_agree_across_engines() {
@@ -30,7 +32,7 @@ fn all_registry_protocols_agree_across_engines() {
     for scenario in &reg {
         let mut scenario_counted = false;
         for net in &scenario.networks {
-            // The sim-large-* scenarios exist for the sparse engine's
+            // The sim-large-* scenarios exist for the large-sim driver's
             // production path; dense-building them here would dwarf the
             // suite. Their semantics are pinned by the same engines at
             // conformance sizes.
@@ -75,6 +77,10 @@ fn all_registry_protocols_agree_across_engines() {
             assert_eq!(compiled.trace, oracle.trace, "{label}: compiled trace");
             assert_eq!(pool.trace, oracle.trace, "{label}: pool trace");
             assert_eq!(sparse.trace, oracle.trace, "{label}: sparse trace");
+            for threads in [1, 2, 4] {
+                let sliced = run_systolic_sliced(&sp, n, budget, true, threads);
+                assert_eq!(sliced, oracle, "{label}: sliced at {threads} threads");
+            }
             assert!(
                 oracle.completed_at.is_some(),
                 "{label}: zoo protocol should gossip within {budget} rounds"
@@ -141,6 +147,72 @@ fn final_knowledge_states_are_bit_identical() {
                     net.name()
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn gossip_time_is_the_slowest_single_item_broadcast() {
+    // Under Definition 3.1 items spread independently — the premise of
+    // the item-sliced engine. On random 3-regular graphs (unstructured
+    // rows, several slices) the gossip time must equal the maximum over
+    // sources of the single-item broadcast time.
+    use systolic_gossip::Network;
+    for (n, seed) in [(300usize, 1u64), (600, 2)] {
+        let net = Network::RandomRegular { n, d: 3, seed };
+        let sp = net
+            .reference_protocol()
+            .expect("RR has a reference protocol");
+        let budget = 50 * n;
+        let slowest = (0..n)
+            .map(|v| systolic_broadcast_time(&sp, n, v, budget).expect("every item spreads"))
+            .max();
+        let sliced = run_systolic_sliced(&sp, n, budget, false, 2);
+        assert_eq!(sliced.completed_at, slowest, "{}", net.name());
+        assert_eq!(
+            sliced.completed_at,
+            run_systolic_reference(&sp, n, budget, false).completed_at
+        );
+    }
+}
+
+#[test]
+fn large_driver_outcome_is_identical_at_any_thread_count() {
+    // One instance whose rows densify (the driver hands off to the
+    // sliced engine) and one whose rows stay interval runs (it stays
+    // sparse): every field of the outcome, `peak_bytes` and
+    // `rounds_run` included, must not depend on the thread count, and
+    // the result must equal the sparse engine's own run.
+    use systolic_gossip::Network;
+    let cases = [
+        (
+            Network::RandomRegular {
+                n: 2000,
+                d: 3,
+                seed: 3,
+            },
+            true,
+        ),
+        (Network::Knodel { delta: 11, n: 2048 }, false),
+    ];
+    for (net, hands_off) in cases {
+        let n = net.order_hint().expect("closed-form order");
+        let sp = net.reference_protocol().expect("reference protocol");
+        let budget = 40 * n;
+        let one = run_systolic_large(&sp, n, budget, true, Some(6 << 30), 1);
+        assert_eq!(one.handoff.is_some(), hands_off, "{}", net.name());
+        assert_eq!(one.result, run_systolic_sparse(&sp, n, budget, true));
+        match one.handoff {
+            Some(h) => {
+                assert_eq!(h.slice_bytes, slice_bytes(n));
+                assert!(h.sparse_bytes > h.slice_bytes);
+                assert_eq!(one.peak_bytes, h.sparse_bytes);
+            }
+            None => assert!(one.peak_bytes <= slice_bytes(n)),
+        }
+        for threads in [2, 8] {
+            let many = run_systolic_large(&sp, n, budget, true, Some(6 << 30), threads);
+            assert_eq!(many, one, "{} at {threads} threads", net.name());
         }
     }
 }

@@ -3,12 +3,16 @@
 
 use proptest::prelude::*;
 use sg_graphs::digraph::Arc;
+use sg_protocol::mode::Mode;
+use sg_protocol::protocol::SystolicProtocol;
 use sg_protocol::round::Round;
 use sg_sim::bitset::Knowledge;
 use sg_sim::engine::apply_round;
 use sg_sim::pool::PoolEngine;
 use sg_sim::reference::apply_round_reference;
+use sg_sim::reference::run_systolic_reference;
 use sg_sim::schedule::CompiledSchedule;
+use sg_sim::sliced::run_systolic_sliced;
 use sg_sim::sparse::SparseEngine;
 use std::collections::HashSet;
 
@@ -38,6 +42,43 @@ fn arcs_strategy(n: usize) -> impl Strategy<Value = Vec<Arc>> {
 fn wild_arcs_strategy(n: usize) -> impl Strategy<Value = Vec<Arc>> {
     proptest::collection::vec((0..n, 0..n), 0..3 * n)
         .prop_map(|pairs| pairs.into_iter().map(|(u, v)| Arc::new(u, v)).collect())
+}
+
+/// Full-duplex chains: every drawn edge contributes both arcs, and
+/// edges sharing an endpoint make the pairs unclean, so their arcs take
+/// the snapshot path (a source that is also a target).
+fn duplex_chain_strategy(n: usize) -> impl Strategy<Value = Vec<Arc>> {
+    proptest::collection::vec((0..n, 0..n), 0..n).prop_map(|pairs| {
+        pairs
+            .into_iter()
+            .flat_map(|(u, v)| [Arc::new(u, v), Arc::new(v, u)])
+            .collect()
+    })
+}
+
+/// Directed arcs among the first `n / 2` vertices only: the rest never
+/// learn anything, so gossip never completes and every run ends at a
+/// fixed point or the round budget.
+fn stuck_arcs_strategy(n: usize) -> impl Strategy<Value = Vec<Arc>> {
+    proptest::collection::vec((0..n / 2, 0..n / 2), 0..n)
+        .prop_map(|pairs| pairs.into_iter().map(|(u, v)| Arc::new(u, v)).collect())
+}
+
+/// The item-sliced engine's completion and full min-count trace equal
+/// the reference's on `period`, at every thread count tried.
+fn sliced_agrees(
+    period: &[Vec<Arc>],
+    n: usize,
+    budget: usize,
+) -> Result<(), proptest::TestCaseError> {
+    let rounds: Vec<Round> = period.iter().cloned().map(Round::new).collect();
+    let sp = SystolicProtocol::new(rounds, Mode::Directed);
+    let oracle = run_systolic_reference(&sp, n, budget, true);
+    for threads in [1, 2, 4] {
+        let sliced = run_systolic_sliced(&sp, n, budget, true, threads);
+        prop_assert_eq!(&sliced, &oracle, "{} threads", threads);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -195,6 +236,45 @@ proptest! {
             prop_assert_eq!(engine.to_dense(), oracle.clone(), "state diverged at round {}", i);
             prop_assert_eq!(engine.min_count(), oracle.min_count(), "min diverged at round {}", i);
         }
+    }
+
+    /// The item-sliced engine on ARBITRARY arc sets — duplicate targets,
+    /// self-loops, sources that are also targets — with a round budget
+    /// small enough that many runs end unfinished.
+    #[test]
+    fn sliced_matches_reference_on_wild_rounds(
+        period in proptest::collection::vec(wild_arcs_strategy(11), 1..5),
+        budget in 1usize..40,
+    ) {
+        sliced_agrees(&period, 11, budget)?;
+    }
+
+    /// Wild rounds over 300 vertices: two slices, the second partial.
+    #[test]
+    fn sliced_matches_reference_across_slices(
+        period in proptest::collection::vec(wild_arcs_strategy(300), 1..4),
+        budget in 1usize..30,
+    ) {
+        sliced_agrees(&period, 300, budget)?;
+    }
+
+    /// Full-duplex chains that need beginning-of-round snapshots.
+    #[test]
+    fn sliced_matches_reference_on_duplex_chains(
+        period in proptest::collection::vec(duplex_chain_strategy(270), 1..5),
+        budget in 1usize..60,
+    ) {
+        sliced_agrees(&period, 270, budget)?;
+    }
+
+    /// Schedules that never complete: fixed-point exits and budget
+    /// padding of the trace.
+    #[test]
+    fn sliced_matches_reference_when_gossip_never_completes(
+        period in proptest::collection::vec(stuck_arcs_strategy(280), 1..5),
+        budget in 1usize..80,
+    ) {
+        sliced_agrees(&period, 280, budget)?;
     }
 
     /// The one-shot `apply_round` equals the reference applier on
