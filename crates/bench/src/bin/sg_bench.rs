@@ -119,31 +119,82 @@ struct CommonFlags {
     rand_seed: Option<u64>,
 }
 
-impl CommonFlags {
-    /// `--faults` / `--exec-seed` only make sense where an `ExecSpec`
-    /// exists to override; every other command rejects them by name.
-    fn reject_exec_flags(&self, command: &str) -> Result<(), String> {
-        if self.exec_faults.is_some() || self.exec_seed.is_some() {
-            return Err(format!(
-                "--faults / --exec-seed only apply to `sg-bench execute` or \
-                 `sg-bench sweep --task execute`, not `sg-bench {command}`"
-            ));
-        }
-        Ok(())
+/// The flag step every command shares, keyed on the task it runs
+/// (`None` for `list` and `run`, which span every task): rejects, by
+/// name, the task-specific flags that do not apply to `command`, then
+/// selects the scenarios and applies the overrides that do. Flags are
+/// checked before `select` runs, so a misplaced flag is the error even
+/// when the selection would fail too.
+fn with_task_flags(
+    command: &str,
+    task: Option<Task>,
+    flags: &CommonFlags,
+    select: impl FnOnce() -> Result<Vec<Scenario>, String>,
+) -> Result<Vec<Scenario>, String> {
+    // A sweep accepts the search flags and ignores them: it has no
+    // search task.
+    let sweep = command == "sweep";
+    let search_flags = flags.search_seed.is_some()
+        || flags.search_restarts.is_some()
+        || flags.search_iterations.is_some();
+    if search_flags && !sweep && task != Some(Task::Search) {
+        let hint = match task {
+            Some(Task::Enumerate) => " (enumeration is exhaustive and deterministic)",
+            Some(Task::Execute) => " (use --exec-seed to vary the fault pattern)",
+            Some(Task::Randomized) => " (use --rand-seed to vary the trial streams)",
+            _ => "",
+        };
+        return Err(format!(
+            "--seed / --restarts / --iterations only apply to `sg-bench search`{hint}"
+        ));
     }
-
-    /// `--trials` / `--rand-seed` only make sense where a
-    /// `RandomizedSpec` exists to override; every other command rejects
-    /// them by name.
-    fn reject_rand_flags(&self, command: &str) -> Result<(), String> {
-        if self.rand_trials.is_some() || self.rand_seed.is_some() {
-            return Err(format!(
-                "--trials / --rand-seed only apply to `sg-bench randomized` or \
-                 `sg-bench sweep --task randomized`, not `sg-bench {command}`"
-            ));
-        }
-        Ok(())
+    // `--faults` / `--exec-seed` only make sense where an `ExecSpec`
+    // exists to override, `--trials` / `--rand-seed` where a
+    // `RandomizedSpec` does.
+    if (flags.exec_faults.is_some() || flags.exec_seed.is_some()) && task != Some(Task::Execute) {
+        let command = if sweep {
+            "sweep --task <non-execute>"
+        } else {
+            command
+        };
+        return Err(format!(
+            "--faults / --exec-seed only apply to `sg-bench execute` or \
+             `sg-bench sweep --task execute`, not `sg-bench {command}`"
+        ));
     }
+    if (flags.rand_trials.is_some() || flags.rand_seed.is_some()) && task != Some(Task::Randomized)
+    {
+        let command = if sweep {
+            "sweep --task <non-randomized>"
+        } else {
+            command
+        };
+        return Err(format!(
+            "--trials / --rand-seed only apply to `sg-bench randomized` or \
+             `sg-bench sweep --task randomized`, not `sg-bench {command}`"
+        ));
+    }
+    let mut scenarios = select()?;
+    // Overrides apply uniformly to every selected scenario.
+    for sc in &mut scenarios {
+        match task {
+            Some(Task::Search) => {
+                sc.search.seed = flags.search_seed.unwrap_or(sc.search.seed);
+                sc.search.restarts = flags.search_restarts.unwrap_or(sc.search.restarts);
+                sc.search.iterations = flags.search_iterations.unwrap_or(sc.search.iterations);
+            }
+            Some(Task::Execute) => {
+                sc.exec.drop_prob = flags.exec_faults.unwrap_or(sc.exec.drop_prob);
+                sc.exec.seed = flags.exec_seed.unwrap_or(sc.exec.seed);
+            }
+            Some(Task::Randomized) => {
+                sc.randomized.trials = flags.rand_trials.unwrap_or(sc.randomized.trials);
+                sc.randomized.seed = flags.rand_seed.unwrap_or(sc.randomized.seed);
+            }
+            _ => {}
+        }
+    }
+    Ok(scenarios)
 }
 
 fn run_cli(args: &[String]) -> Result<i32, String> {
@@ -151,27 +202,43 @@ fn run_cli(args: &[String]) -> Result<i32, String> {
         println!("{USAGE}");
         return Ok(2);
     };
-    match command.as_str() {
+    let task = match command.as_str() {
         "-h" | "--help" | "help" => {
             println!("{USAGE}");
-            Ok(0)
+            return Ok(0);
         }
-        "list" => {
-            let (names, flags) = split_flags(&args[1..], false)?;
-            if !names.is_empty() {
-                return Err(format!("list takes no scenario names, got `{}`", names[0]));
+        "sweep" => {
+            let scenario = parse_sweep(&args[1..])?;
+            let (_, flags) = split_flags(&args[1..], true)?;
+            let task = Some(scenario.task);
+            let mut scenarios = with_task_flags("sweep", task, &flags, || Ok(vec![scenario]))?;
+            // --filter on a sweep restricts the assembled network list.
+            if let Some(f) = &flags.filter {
+                let networks = &mut scenarios[0].networks;
+                if networks.is_empty() {
+                    return Err("sweep: --filter needs --net entries to filter".into());
+                }
+                networks.retain(|n| n.name().contains(f.as_str()));
+                if networks.is_empty() {
+                    return Err(format!("sweep: no --net network matches `{f}`"));
+                }
             }
-            if flags.search_seed.is_some()
-                || flags.search_restarts.is_some()
-                || flags.search_iterations.is_some()
-            {
-                return Err(
-                    "--seed / --restarts / --iterations only apply to `sg-bench search`".into(),
-                );
-            }
-            flags.reject_exec_flags("list")?;
-            flags.reject_rand_flags("list")?;
-            let reg: Vec<Scenario> = apply_filter(registry(), flags.filter.as_deref());
+            return execute(&scenarios, &flags);
+        }
+        "list" | "run" => None,
+        "search" => Some(Task::Search),
+        "enumerate" => Some(Task::Enumerate),
+        "execute" => Some(Task::Execute),
+        "randomized" => Some(Task::Randomized),
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    let (names, flags) = split_flags(&args[1..], false)?;
+    if command == "list" {
+        if !names.is_empty() {
+            return Err(format!("list takes no scenario names, got `{}`", names[0]));
+        }
+        let reg = with_task_flags("list", None, &flags, || {
+            let reg = apply_filter(registry(), flags.filter.as_deref());
             if reg.is_empty() {
                 let valid: Vec<&'static str> = registry().iter().map(|s| s.name).collect();
                 return Err(no_match_error(
@@ -179,159 +246,29 @@ fn run_cli(args: &[String]) -> Result<i32, String> {
                     &valid,
                 ));
             }
-            println!("{:<26} {:<9} summary", "name", "task");
-            println!("{}", "-".repeat(100));
-            for s in &reg {
-                println!("{:<26} {:<9} {}", s.name, s.task.name(), s.summary);
-            }
-            match &flags.filter {
-                Some(f) => println!(
-                    "\n{} scenario(s) matching `{f}`. `sg-bench run --filter {f}` runs them all.",
-                    reg.len()
-                ),
-                None => println!(
-                    "\n{} scenarios. `sg-bench run <name>` or `sg-bench run all`.",
-                    reg.len()
-                ),
-            }
-            Ok(0)
+            Ok(reg)
+        })?;
+        println!("{:<26} {:<9} summary", "name", "task");
+        println!("{}", "-".repeat(100));
+        for s in &reg {
+            println!("{:<26} {:<9} {}", s.name, s.task.name(), s.summary);
         }
-        "run" => {
-            let (names, flags) = split_flags(&args[1..], false)?;
-            if flags.search_seed.is_some()
-                || flags.search_restarts.is_some()
-                || flags.search_iterations.is_some()
-            {
-                return Err(
-                    "--seed / --restarts / --iterations only apply to `sg-bench search`".into(),
-                );
-            }
-            flags.reject_exec_flags("run")?;
-            flags.reject_rand_flags("run")?;
-            let scenarios = select_scenarios(&names, &flags, None)?;
-            execute(&scenarios, &flags)
+        match &flags.filter {
+            Some(f) => println!(
+                "\n{} scenario(s) matching `{f}`. `sg-bench run --filter {f}` runs them all.",
+                reg.len()
+            ),
+            None => println!(
+                "\n{} scenarios. `sg-bench run <name>` or `sg-bench run all`.",
+                reg.len()
+            ),
         }
-        "enumerate" => {
-            let (names, flags) = split_flags(&args[1..], false)?;
-            if flags.search_seed.is_some()
-                || flags.search_restarts.is_some()
-                || flags.search_iterations.is_some()
-            {
-                return Err(
-                    "--seed / --restarts / --iterations only apply to `sg-bench search` \
-                     (enumeration is exhaustive and deterministic)"
-                        .into(),
-                );
-            }
-            flags.reject_exec_flags("enumerate")?;
-            flags.reject_rand_flags("enumerate")?;
-            let scenarios = select_scenarios(&names, &flags, Some(Task::Enumerate))?;
-            execute(&scenarios, &flags)
-        }
-        "execute" => {
-            let (names, flags) = split_flags(&args[1..], false)?;
-            if flags.search_seed.is_some()
-                || flags.search_restarts.is_some()
-                || flags.search_iterations.is_some()
-            {
-                return Err(
-                    "--seed / --restarts / --iterations only apply to `sg-bench search` \
-                     (use --exec-seed to vary the fault pattern)"
-                        .into(),
-                );
-            }
-            flags.reject_rand_flags("execute")?;
-            let mut scenarios = select_scenarios(&names, &flags, Some(Task::Execute))?;
-            for sc in &mut scenarios {
-                if let Some(p) = flags.exec_faults {
-                    sc.exec.drop_prob = p;
-                }
-                if let Some(seed) = flags.exec_seed {
-                    sc.exec.seed = seed;
-                }
-            }
-            execute(&scenarios, &flags)
-        }
-        "randomized" => {
-            let (names, flags) = split_flags(&args[1..], false)?;
-            if flags.search_seed.is_some()
-                || flags.search_restarts.is_some()
-                || flags.search_iterations.is_some()
-            {
-                return Err(
-                    "--seed / --restarts / --iterations only apply to `sg-bench search` \
-                     (use --rand-seed to vary the trial streams)"
-                        .into(),
-                );
-            }
-            flags.reject_exec_flags("randomized")?;
-            let mut scenarios = select_scenarios(&names, &flags, Some(Task::Randomized))?;
-            for sc in &mut scenarios {
-                if let Some(t) = flags.rand_trials {
-                    sc.randomized.trials = t;
-                }
-                if let Some(seed) = flags.rand_seed {
-                    sc.randomized.seed = seed;
-                }
-            }
-            execute(&scenarios, &flags)
-        }
-        "search" => {
-            let (names, flags) = split_flags(&args[1..], false)?;
-            flags.reject_exec_flags("search")?;
-            flags.reject_rand_flags("search")?;
-            let mut scenarios = select_scenarios(&names, &flags, Some(Task::Search))?;
-            // Effort overrides apply uniformly to every selected search.
-            for sc in &mut scenarios {
-                if let Some(seed) = flags.search_seed {
-                    sc.search.seed = seed;
-                }
-                if let Some(r) = flags.search_restarts {
-                    sc.search.restarts = r;
-                }
-                if let Some(i) = flags.search_iterations {
-                    sc.search.iterations = i;
-                }
-            }
-            execute(&scenarios, &flags)
-        }
-        "sweep" => {
-            let mut scenario = parse_sweep(&args[1..])?;
-            let (_, flags) = split_flags(&args[1..], true)?;
-            if scenario.task == Task::Execute {
-                if let Some(p) = flags.exec_faults {
-                    scenario.exec.drop_prob = p;
-                }
-                if let Some(seed) = flags.exec_seed {
-                    scenario.exec.seed = seed;
-                }
-            } else {
-                flags.reject_exec_flags("sweep --task <non-execute>")?;
-            }
-            if scenario.task == Task::Randomized {
-                if let Some(t) = flags.rand_trials {
-                    scenario.randomized.trials = t;
-                }
-                if let Some(seed) = flags.rand_seed {
-                    scenario.randomized.seed = seed;
-                }
-            } else {
-                flags.reject_rand_flags("sweep --task <non-randomized>")?;
-            }
-            // --filter on a sweep restricts the assembled network list.
-            if let Some(f) = &flags.filter {
-                if scenario.networks.is_empty() {
-                    return Err("sweep: --filter needs --net entries to filter".into());
-                }
-                scenario.networks.retain(|n| n.name().contains(f.as_str()));
-                if scenario.networks.is_empty() {
-                    return Err(format!("sweep: no --net network matches `{f}`"));
-                }
-            }
-            execute(&[scenario], &flags)
-        }
-        other => Err(format!("unknown command `{other}`")),
+        return Ok(0);
     }
+    let scenarios = with_task_flags(command, task, &flags, || {
+        select_scenarios(&names, &flags, task)
+    })?;
+    execute(&scenarios, &flags)
 }
 
 /// Keeps the scenarios whose name contains `filter` (all of them when no

@@ -438,16 +438,6 @@ impl PermGroup {
     }
 }
 
-/// Finds a generating set of `Aut(g)` — the individualization–refinement
-/// search of [`crate::refine::automorphism_generators_refined`], where
-/// equitable-partition refinement (degree and distance invariants,
-/// iterated after every individualization) does the distinguishing work
-/// that the retired backtracking search paid for with exponential
-/// refutations on regular look-alike families.
-pub fn automorphism_generators(g: &Digraph) -> Vec<Perm> {
-    crate::refine::automorphism_generators_refined(g)
-}
-
 /// The retired generator search, by prefix-fixing backtracking: for each
 /// level of a BFS-ordered base, one automorphism per new orbit of the
 /// base point under the stabilizer of the earlier points. Kept as the
@@ -485,9 +475,18 @@ pub fn automorphism_generators_backtracking(g: &Digraph) -> Vec<Perm> {
 
 /// The automorphism group of `g`, as a stabilizer chain. This is the
 /// group-layer entry point the enumerator and the scenario cache use —
-/// guard-free, element-list-free.
+/// guard-free, element-list-free. Its generators come from the
+/// individualization–refinement search of
+/// [`crate::refine::automorphism_generators_refined`], where
+/// equitable-partition refinement (degree and distance invariants,
+/// iterated after every individualization) does the distinguishing work
+/// that the retired backtracking search paid for with exponential
+/// refutations on regular look-alike families.
 pub fn automorphism_group(g: &Digraph) -> PermGroup {
-    PermGroup::from_generators(g.vertex_count(), automorphism_generators(g))
+    PermGroup::from_generators(
+        g.vertex_count(),
+        crate::refine::automorphism_generators_refined(g),
+    )
 }
 
 /// The first automorphism fixing `prefix` pointwise and mapping

@@ -1,53 +1,64 @@
 //! The parallel batch executor.
 //!
-//! [`run_batch`] expands every scenario into independent work units (one
-//! family-table row, one network × task, one check set, …), fans the
-//! units out across a `std::thread::scope` worker pool behind an atomic
-//! cursor — the same claim-by-cursor idiom as `sg_sim::pool` — and
-//! reassembles the per-unit results into deterministic, scenario-ordered
-//! outcomes.
+//! [`run_batch`] expands every scenario into independent work units —
+//! one family-table row, one network under the scenario's task, the
+//! matrix figures, or the paper-check set — fans the units out across a
+//! `std::thread::scope` worker pool behind an atomic cursor (the same
+//! claim-by-cursor idiom as `sg_sim::pool`), and reassembles the
+//! per-unit results into deterministic, scenario-ordered outcomes.
 //! Expensive intermediates (built digraphs, measured diameters, periodic
-//! delay digraphs) are shared across all units through a
-//! [`crate::cache::BuildCache`], so a period sweep pays for its network
-//! once and repeated λ-searches share one delay structure.
+//! delay digraphs, protocols, symmetry groups) are shared across all
+//! units through a [`crate::cache::BuildCache`], so a period sweep pays
+//! for its network once and repeated λ-searches share one delay
+//! structure.
+//!
+//! A network unit dispatches on [`Task`] once. The tasks share their
+//! decisions through plain functions: `dense_graph` is the only place
+//! that judges the network order against `BatchOptions::large_sim_min_n`
+//! (default `LARGE_SIM_MIN_N`, 50 000) — by `order_hint()` when the
+//! family has one, else by the built graph's real order — and each task
+//! passes it its own refusal; `valid_protocol` looks up and validates
+//! the deterministic protocol; `refuse_dense_worst_case` refuses units
+//! whose rows densify past the memory budget; `skip_nonsystolic` reports
+//! `s = ∞` entries of search and enumeration sweeps. A skipped unit
+//! returns its report as `Err`, so every early exit is a `?`.
 //!
 //! One global thread budget covers both levels of parallelism: when there
 //! are fewer units than budgeted threads, the leftover threads go *into*
 //! the units — simulate and compare units split each round's row writes
 //! across a persistent worker pool (`sg_sim::pool`), so a batch of three
 //! big simulations on a 16-thread budget runs 3 units × 5 row-workers
-//! instead of 3 × 1. Units whose network order reaches
-//! `BatchOptions::large_sim_min_n` (default `LARGE_SIM_MIN_N`, 50 000)
-//! never materialize the n²-bit table — judged by `order_hint()` when the
-//! family has one, else by the built graph's real order. They run
-//! `sg_sim::sliced::run_systolic_large`, which picks the engine by memory
-//! with no knob: the sparse delta engine while its row state stays
-//! within one 256-item slice's working set (n · 32 bytes), then, from the
-//! first round it does not, a restart on the item-sliced engine across
-//! the unit's thread budget. The five engines: compiled and pool (dense,
-//! below the threshold), sparse and item-sliced (large), and the
-//! `reference` oracle.
+//! instead of 3 × 1. Simulate units at large order never materialize the
+//! n²-bit table. They run `sg_sim::sliced::run_systolic_large`, which
+//! picks the engine by memory with no knob: the sparse delta engine
+//! while its row state stays within one 256-item slice's working set
+//! (n · 32 bytes), then, from the first round it does not, a restart on
+//! the item-sliced engine across the unit's thread budget. The five
+//! engines: compiled and pool (dense, below the threshold), sparse and
+//! item-sliced (large), and the `reference` oracle.
 
 use crate::cache::{BuildCache, CacheStats};
-use crate::descriptor::{PaperCheck, Scenario, Task, WeightScheme};
+use crate::descriptor::{PaperCheck, ProtocolKind, Scenario, Task, WeightScheme};
 use crate::tables::{assemble_table, family_row, family_specs, FamilySpec};
+use sg_bounds::e_general_nonsystolic;
 use sg_bounds::pfun::Period;
 use sg_bounds::tables::{FigRow, FigTable};
-use sg_bounds::{c_broadcast, e_general_nonsystolic};
 use sg_delay::bound::BoundOpts;
 use sg_delay::digraph::DelayDigraph;
 use sg_delay::fullduplex::full_duplex_mx;
 use sg_delay::local::LocalMatrices;
 use sg_delay::weighted::weighted_diameter_bound;
+use sg_graphs::digraph::Digraph;
 use sg_graphs::weighted::WeightedDigraph;
 use sg_protocol::local::BlockPattern;
 use sg_protocol::mode::Mode;
+use sg_protocol::protocol::SystolicProtocol;
 use sg_sim::greedy::greedy_gossip;
 use sg_sim::pool::systolic_gossip_time_pool;
 use sg_sim::sliced::{run_systolic_large, slice_bytes, SLICE_ITEMS};
 use sg_sim::trace::knowledge_curve_pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use systolic_gossip::{audit_measured, ceil_log2, Network, Row};
 
 /// Knobs of one batch run.
@@ -69,11 +80,13 @@ pub struct BatchOptions {
     /// Simulation round budget per protocol execution.
     pub sim_budget: usize,
     /// Order at which simulate units abandon the dense `Knowledge`
-    /// table for the sparse and item-sliced engines, and compare units
-    /// refuse to run (defaults to `LARGE_SIM_MIN_N`, 50 000). The gate
-    /// checks `order_hint()` first — so hinted families never even build
-    /// the graph — and falls back to the built graph's real order for
-    /// the hint-less families (trees, butterflies, de Bruijn, Kautz).
+    /// table for the sparse and item-sliced engines, compare and
+    /// execute units refuse to run, and randomized units measure
+    /// against the doubling floor (defaults to `LARGE_SIM_MIN_N`,
+    /// 50 000). The gate checks `order_hint()` first — so hinted
+    /// families never even build the graph — and falls back to the
+    /// built graph's real order for the hint-less families (trees,
+    /// butterflies, de Bruijn, Kautz).
     pub large_sim_min_n: usize,
 }
 
@@ -140,14 +153,6 @@ const LARGE_SIM_MIN_N: usize = 50_000;
 /// ~2·10⁸ can reach it. Random-regular units are still refused upfront
 /// when the dense n²/8 bytes exceed it.
 const LARGE_SIM_MEM_LIMIT: usize = 6 << 30;
-
-fn effective_sim_threads(n: usize, sim_threads: usize) -> usize {
-    if n >= WITHIN_UNIT_PARALLEL_MIN_N {
-        sim_threads
-    } else {
-        1
-    }
-}
 
 /// One re-derived paper value.
 #[derive(Debug, Clone)]
@@ -244,18 +249,13 @@ impl BatchReport {
     }
 }
 
-/// One independent work unit.
+/// One independent work unit; a `Network` unit runs the scenario's
+/// task on one network.
 enum Unit {
     FamilyRow { spec: FamilySpec },
-    NetworkBounds { net: Network },
-    Simulate { net: Network },
-    Compare { net: Network },
+    Network { net: Network },
     Matrices,
     Checks { checks: Vec<PaperCheck> },
-    Search { net: Network },
-    Enumerate { net: Network },
-    Execute { net: Network },
-    Randomized { net: Network },
 }
 
 /// What one unit produced.
@@ -267,56 +267,38 @@ struct UnitOut {
     checks: Vec<CheckOutcome>,
 }
 
+impl UnitOut {
+    /// A text block alone; `UnitOut { rows, ..UnitOut::text(t) }` adds
+    /// rows.
+    fn text(text: String) -> Self {
+        Self {
+            text: Some(text),
+            ..Self::default()
+        }
+    }
+}
+
+/// A per-network unit's result: `Err` carries the report of a unit
+/// that was skipped or refused, so every early exit is a `?`.
+type NetOut = Result<UnitOut, UnitOut>;
+
 /// Expands `scenario` into its independent units.
 fn units_of(scenario: &Scenario) -> Vec<Unit> {
     let mut units = Vec::new();
-    match scenario.task {
-        Task::Bound => {
-            // A family table when there is a degree sweep (Figs. 5, 6, 8)
-            // or nothing but the general row to show (Fig. 4); scenarios
-            // that only list concrete networks get per-network reports.
-            let family_table = !scenario.periods.is_empty()
-                && (!scenario.degrees.is_empty() || scenario.networks.is_empty());
-            if family_table {
-                for spec in family_specs(scenario.mode, &scenario.degrees) {
-                    units.push(Unit::FamilyRow { spec });
-                }
-            }
-            for &net in &scenario.networks {
-                units.push(Unit::NetworkBounds { net });
-            }
+    if scenario.task == Task::Matrices {
+        units.push(Unit::Matrices);
+    } else {
+        // A family table when there is a degree sweep (Figs. 5, 6, 8)
+        // or nothing but the general row to show (Fig. 4); scenarios
+        // that only list concrete networks get per-network reports.
+        let family_table = scenario.task == Task::Bound
+            && !scenario.periods.is_empty()
+            && (!scenario.degrees.is_empty() || scenario.networks.is_empty());
+        if family_table {
+            let specs = family_specs(scenario.mode, &scenario.degrees);
+            units.extend(specs.into_iter().map(|spec| Unit::FamilyRow { spec }));
         }
-        Task::Simulate => {
-            for &net in &scenario.networks {
-                units.push(Unit::Simulate { net });
-            }
-        }
-        Task::Compare => {
-            for &net in &scenario.networks {
-                units.push(Unit::Compare { net });
-            }
-        }
-        Task::Matrices => units.push(Unit::Matrices),
-        Task::Search => {
-            for &net in &scenario.networks {
-                units.push(Unit::Search { net });
-            }
-        }
-        Task::Enumerate => {
-            for &net in &scenario.networks {
-                units.push(Unit::Enumerate { net });
-            }
-        }
-        Task::Execute => {
-            for &net in &scenario.networks {
-                units.push(Unit::Execute { net });
-            }
-        }
-        Task::Randomized => {
-            for &net in &scenario.networks {
-                units.push(Unit::Randomized { net });
-            }
-        }
+        units.extend(scenario.networks.iter().map(|&net| Unit::Network { net }));
     }
     if !scenario.checks.is_empty() {
         units.push(Unit::Checks {
@@ -349,7 +331,13 @@ pub fn run_batch(scenarios: &[Scenario], opts: &BatchOptions) -> BatchReport {
                 let Some((si, ui, unit)) = work.get(i) else {
                     break;
                 };
-                let out = run_unit(unit, &scenarios[*si], &cache, opts, sim_threads);
+                let cx = UnitCx {
+                    scenario: &scenarios[*si],
+                    cache: &cache,
+                    opts,
+                    sim_threads,
+                };
+                let out = run_unit(unit, &cx);
                 done.lock().unwrap().push((*si, *ui, out));
             });
         }
@@ -393,25 +381,162 @@ pub fn run_batch(scenarios: &[Scenario], opts: &BatchOptions) -> BatchReport {
     }
 }
 
-fn run_unit(
-    unit: &Unit,
-    scenario: &Scenario,
-    cache: &BuildCache,
-    opts: &BatchOptions,
+/// What a unit reads besides its own parameters.
+struct UnitCx<'a> {
+    scenario: &'a Scenario,
+    cache: &'a BuildCache,
+    opts: &'a BatchOptions,
+    /// This unit's share of the thread budget.
     sim_threads: usize,
-) -> UnitOut {
+}
+
+impl UnitCx<'_> {
+    /// `true` from [`BatchOptions::large_sim_min_n`] up: the order at
+    /// which nothing dense (n²-bit tables, per-node fleets) is built.
+    fn is_large(&self, n: usize) -> bool {
+        n >= self.opts.large_sim_min_n
+    }
+
+    /// Row-parallel threads for a dense order-`n` simulation.
+    fn row_threads(&self, n: usize) -> usize {
+        if n >= WITHIN_UNIT_PARALLEL_MIN_N {
+            self.sim_threads
+        } else {
+            1
+        }
+    }
+}
+
+fn run_unit(unit: &Unit, cx: &UnitCx) -> UnitOut {
     match unit {
-        Unit::FamilyRow { spec } => family_row_unit(spec, scenario, cache),
-        Unit::NetworkBounds { net } => network_bounds_unit(net, scenario, cache),
-        Unit::Simulate { net } => simulate_unit(net, scenario, cache, opts, sim_threads),
-        Unit::Compare { net } => compare_unit(net, scenario, cache, opts, sim_threads),
+        Unit::FamilyRow { spec } => family_row_unit(spec, cx),
+        Unit::Network { net } => match cx.scenario.task {
+            Task::Bound => network_bounds_unit(net, cx),
+            Task::Simulate => simulate_unit(net, cx),
+            Task::Compare => compare_unit(net, cx),
+            Task::Search => search_unit(net, cx),
+            Task::Enumerate => enumerate_unit(net, cx),
+            Task::Execute => execute_unit(net, cx),
+            Task::Randomized => randomized_unit(net, cx),
+            Task::Matrices => unreachable!("a matrices scenario expands to one matrices unit"),
+        }
+        .unwrap_or_else(|skipped| skipped),
         Unit::Matrices => matrices_unit(),
         Unit::Checks { checks } => checks_unit(checks),
-        Unit::Search { net } => search_unit(net, scenario, cache, sim_threads),
-        Unit::Enumerate { net } => enumerate_unit(net, scenario, cache, sim_threads),
-        Unit::Execute { net } => execute_unit(net, scenario, cache, opts, sim_threads),
-        Unit::Randomized { net } => randomized_unit(net, scenario, cache, opts, sim_threads),
     }
+}
+
+/// The dense-vs-large order decision, the one place every task makes
+/// it: the built graph, or `refuse(n)`'s report when it has one for the
+/// network's order `n`. The order is judged by `order_hint()` first, so
+/// hinted families at large order never build anything, and then by
+/// the built graph's real order for the hint-less families (trees,
+/// butterflies, de Bruijn, Kautz): a `db:2,17` has hint `None` but
+/// order 131 072, and a dense n²-bit table there would be an OOM, not a
+/// slowdown. The digraph itself is only O(n + m), so building it to
+/// learn n is safe.
+fn dense_graph(
+    net: &Network,
+    cx: &UnitCx,
+    refuse: impl Fn(usize) -> Option<UnitOut>,
+) -> Result<Arc<Digraph>, UnitOut> {
+    if let Some(refused) = net.order_hint().and_then(&refuse) {
+        return Err(refused);
+    }
+    let g = cx.cache.digraph(net);
+    match refuse(g.vertex_count()) {
+        Some(refused) => Err(refused),
+        None => Ok(g),
+    }
+}
+
+/// The skip text of a network without a deterministic protocol in
+/// `mode`.
+fn no_protocol(net: &Network, mode: Mode) -> UnitOut {
+    UnitOut::text(format!(
+        "{}: no deterministic protocol in {mode} mode — skipped",
+        net.name()
+    ))
+}
+
+/// The network's deterministic protocol in the scenario's mode, from
+/// the batch's shared memo (a serve daemon or a second scenario asking
+/// for the same pair reuses the build), validated on `g`.
+fn valid_protocol(
+    net: &Network,
+    cx: &UnitCx,
+    g: &Digraph,
+) -> Result<(ProtocolKind, Arc<SystolicProtocol>), UnitOut> {
+    let mode = cx.scenario.mode;
+    let (kind, sp) = cx
+        .cache
+        .protocol(net, mode)
+        .ok_or_else(|| no_protocol(net, mode))?;
+    sp.validate(g)
+        .map_err(|e| UnitOut::text(format!("{}: invalid protocol — {e}", net.name())))?;
+    Ok((kind, sp))
+}
+
+/// A result row's leading `kind` and `network` fields.
+fn net_row(kind: &str, net: &Network) -> Row {
+    Row::new().with("kind", kind).with("network", net.name())
+}
+
+/// A 64-bit counter as a row integer, saturating at `i64::MAX`.
+fn saturating_i64(v: u64) -> i64 {
+    i64::try_from(v).unwrap_or(i64::MAX)
+}
+
+fn gib(bytes: usize) -> f64 {
+    bytes as f64 / (1u64 << 30) as f64
+}
+
+/// Refuses an order-`n` unit whose rows densify toward the dense n²/8
+/// bytes whatever the topology, when even that worst case exceeds
+/// [`LARGE_SIM_MEM_LIMIT`] — rather than burn minutes to a guaranteed
+/// abort. The refusal is `row` marked `skipped-mem` plus a line naming
+/// `what` densifies, the two sizes, and `tail`.
+fn refuse_dense_worst_case(
+    net: &Network,
+    n: usize,
+    row: Row,
+    what: &str,
+    tail: &str,
+) -> Option<UnitOut> {
+    let worst = (n / 8).saturating_mul(n);
+    (worst > LARGE_SIM_MEM_LIMIT).then(|| UnitOut {
+        rows: vec![row.with("verdict", "skipped-mem")],
+        ..UnitOut::text(format!(
+            "{}: {what} rows densify — worst-case sparse state ≈ {:.1} GiB exceeds the \
+             {:.1} GiB budget, skipped{tail}\n",
+            net.name(),
+            gib(worst),
+            gib(LARGE_SIM_MEM_LIMIT),
+        ))
+    })
+}
+
+/// Reports an `s = ∞` entry of a `search` or `enumerate` period sweep
+/// as skipped rather than dropping it: both need a finite period.
+fn skip_nonsystolic(
+    kind: &str,
+    net: &Network,
+    n: usize,
+    cx: &UnitCx,
+    rows: &mut Vec<Row>,
+    text: &mut String,
+) {
+    text.push_str(&format!(
+        "{}: s = ∞ has no finite period to {kind} — skipped\n",
+        net.name()
+    ));
+    rows.push(
+        net_row(kind, net)
+            .with("n", n)
+            .with("mode", cx.scenario.mode.name())
+            .with("s", "∞")
+            .with("verdict", "skipped"),
+    );
 }
 
 /// Runs the network's protocol as a message-passing fleet through
@@ -421,68 +546,30 @@ fn run_unit(
 /// — once under the declared fault plan, reporting the round and
 /// message cost of the faults. The protocol build is shared through
 /// [`BuildCache::protocol`] with every other unit in the batch.
-fn execute_unit(
-    net: &Network,
-    scenario: &Scenario,
-    cache: &BuildCache,
-    opts: &BatchOptions,
-    sim_threads: usize,
-) -> UnitOut {
+fn execute_unit(net: &Network, cx: &UnitCx) -> NetOut {
     use sg_exec::{execute_protocol, Crash, DriverConfig, FaultPlan};
-    // Per-node fleets are dense in n; the same gate as compare units.
-    if let Some(n) = net.order_hint().filter(|&n| n >= opts.large_sim_min_n) {
-        return UnitOut {
-            text: Some(format!(
+    // Per-node fleets are dense in n.
+    let g = dense_graph(net, cx, |n| {
+        cx.is_large(n).then(|| {
+            UnitOut::text(format!(
                 "{}: order {n} ≥ {} — the execution fleet is skipped at this size",
                 net.name(),
-                opts.large_sim_min_n
-            )),
-            ..Default::default()
-        };
-    }
-    let g = cache.digraph(net);
+                cx.opts.large_sim_min_n
+            ))
+        })
+    })?;
     let n = g.vertex_count();
-    if n >= opts.large_sim_min_n {
-        return UnitOut {
-            text: Some(format!(
-                "{}: order {n} ≥ {} — the execution fleet is skipped at this size",
-                net.name(),
-                opts.large_sim_min_n
-            )),
-            ..Default::default()
-        };
-    }
-    let Some((kind, sp)) = cache.protocol(net, scenario.mode) else {
-        return UnitOut {
-            text: Some(format!(
-                "{}: no deterministic protocol in {} mode — skipped",
-                net.name(),
-                scenario.mode
-            )),
-            ..Default::default()
-        };
-    };
-    if let Err(e) = sp.validate(&g) {
-        return UnitOut {
-            text: Some(format!("{}: invalid protocol — {e}", net.name())),
-            ..Default::default()
-        };
-    }
+    let (kind, sp) = valid_protocol(net, cx, &g)?;
     // The fault-free optimum of *this* protocol, from the lockstep
     // engine — the yardstick every executed run diverges from.
-    let optimum = systolic_gossip_time_pool(
-        &sp,
-        n,
-        opts.sim_budget,
-        effective_sim_threads(n, sim_threads),
-    );
-    let spec = &scenario.exec;
+    let optimum = systolic_gossip_time_pool(&sp, n, cx.opts.sim_budget, cx.row_threads(n));
+    let spec = &cx.scenario.exec;
     let budget = optimum
         .map_or(40 * n + 200, |t| 40 * t + 200)
         .max(spec.crashes.iter().filter_map(|c| c.2).max().unwrap_or(0) as usize + 40 * n)
         as u64;
     let cfg = DriverConfig {
-        threads: effective_sim_threads(n, sim_threads),
+        threads: cx.row_threads(n),
         max_rounds: budget,
         record_events: false,
     };
@@ -533,39 +620,25 @@ fn execute_unit(
             },
         ));
         rows.push(
-            Row::new()
-                .with("kind", "execute")
-                .with("network", net.name())
+            net_row("execute", net)
                 .with("n", n)
                 .with("s", report.s)
                 .with("protocol", kind.label())
-                .with("mode", scenario.mode.name())
+                .with("mode", cx.scenario.mode.name())
                 .with("plan", label)
-                .with("seed", i64::try_from(spec.seed).unwrap_or(i64::MAX))
+                .with("seed", saturating_i64(spec.seed))
                 .with("drop_prob", plan.drop_prob)
                 .with("max_delay", i64::from(plan.max_delay))
                 .with("crashes", plan.crashes.len())
                 .with("completed_rounds", report.completed_at.map(|t| t as i64))
                 .with("optimum_rounds", optimum)
                 .with("divergence", divergence)
-                .with(
-                    "gossip_sent",
-                    i64::try_from(report.gossip_sent).unwrap_or(i64::MAX),
-                )
-                .with(
-                    "retransmissions",
-                    i64::try_from(report.retransmissions).unwrap_or(i64::MAX),
-                )
-                .with(
-                    "acks_sent",
-                    i64::try_from(report.acks_sent).unwrap_or(i64::MAX),
-                )
-                .with("dropped", i64::try_from(report.dropped).unwrap_or(i64::MAX))
-                .with("delayed", i64::try_from(report.delayed).unwrap_or(i64::MAX))
-                .with(
-                    "lost_crash",
-                    i64::try_from(report.lost_crash).unwrap_or(i64::MAX),
-                )
+                .with("gossip_sent", saturating_i64(report.gossip_sent))
+                .with("retransmissions", saturating_i64(report.retransmissions))
+                .with("acks_sent", saturating_i64(report.acks_sent))
+                .with("dropped", saturating_i64(report.dropped))
+                .with("delayed", saturating_i64(report.delayed))
+                .with("lost_crash", saturating_i64(report.lost_crash))
                 .with(
                     "verdict",
                     match (report.completed_at.is_some(), conformant) {
@@ -583,11 +656,10 @@ fn execute_unit(
     if !plan.is_fault_free() {
         run_one("faulty", plan);
     }
-    UnitOut {
+    Ok(UnitOut {
         rows,
-        text: Some(text),
-        ..Default::default()
-    }
+        ..UnitOut::text(text)
+    })
 }
 
 /// Randomized-gossip baselines: for each activation model (push, pull,
@@ -599,57 +671,24 @@ fn execute_unit(
 /// the ⌈lg n⌉ doubling floor at large n, where every Ω(n²) computation
 /// is deliberately absent. Trials are keyed by pure `(seed, trial,
 /// round)` counters, so batches are bit-identical at any thread count.
-fn randomized_unit(
-    net: &Network,
-    scenario: &Scenario,
-    cache: &BuildCache,
-    opts: &BatchOptions,
-    sim_threads: usize,
-) -> UnitOut {
+fn randomized_unit(net: &Network, cx: &UnitCx) -> NetOut {
     use sg_sim::random::{run_randomized, summarize, ActivationModel, RandomizedConfig};
     // Pull and exchange read along the reversed arc, so the model is
     // only well-defined on symmetric networks.
     if net.is_directed() {
-        return UnitOut {
-            text: Some(format!(
-                "{}: randomized pull/exchange need symmetric arcs — \
-                 directed networks are skipped",
-                net.name()
-            )),
-            ..Default::default()
-        };
+        return Err(UnitOut::text(format!(
+            "{}: randomized pull/exchange need symmetric arcs — \
+             directed networks are skipped",
+            net.name()
+        )));
     }
-    // Randomized gossip scatters knowledge, so rows densify toward the
-    // dense n²/8 bytes whatever the topology — refuse upfront when even
-    // one trial's worst case cannot fit (same idiom as the large
-    // simulate unit). `order_hint()` first, so hinted families never
-    // build the graph just to be refused.
-    let skip_mem = |n: usize| UnitOut {
-        rows: vec![Row::new()
-            .with("kind", "randomized")
-            .with("network", net.name())
-            .with("n", n)
-            .with("verdict", "skipped-mem")],
-        text: Some(format!(
-            "{}: randomized rows densify — worst-case sparse state \
-             ≈ {:.1} GiB exceeds the {:.1} GiB budget, skipped\n",
-            net.name(),
-            ((n / 8).saturating_mul(n)) as f64 / (1u64 << 30) as f64,
-            LARGE_SIM_MEM_LIMIT as f64 / (1u64 << 30) as f64,
-        )),
-        ..Default::default()
-    };
-    let too_big =
-        |n: usize| n >= opts.large_sim_min_n && (n / 8).saturating_mul(n) > LARGE_SIM_MEM_LIMIT;
-    if let Some(n) = net.order_hint().filter(|&n| too_big(n)) {
-        return skip_mem(n);
-    }
-    let g = cache.digraph(net);
+    // Randomized gossip scatters knowledge, so rows densify whatever
+    // the topology.
+    let g = dense_graph(net, cx, |n| {
+        let row = net_row("randomized", net).with("n", n);
+        refuse_dense_worst_case(net, n, row, "randomized", "").filter(|_| cx.is_large(n))
+    })?;
     let n = g.vertex_count();
-    if too_big(n) {
-        return skip_mem(n);
-    }
-    let large = n >= opts.large_sim_min_n;
     // The yardstick every randomized mean is measured against: at small
     // n the exact behaviour of the network's deterministic protocol
     // (with the oracle's strongest floor alongside); at large n only the
@@ -659,34 +698,27 @@ fn randomized_unit(
     let mut optimum_kind = None;
     let mut floor = ceil_log2(n) as f64;
     let mut yardstick = "doubling-floor";
-    if !large {
-        if let Some((kind, sp)) = cache.protocol(net, scenario.mode) {
-            if sp.validate(&g).is_ok() {
-                optimum = systolic_gossip_time_pool(
-                    &sp,
-                    n,
-                    opts.sim_budget,
-                    effective_sim_threads(n, sim_threads),
-                );
-                let ob = cache.oracle().bounds_on(
-                    net,
-                    &g,
-                    cache.diameter(net),
-                    sp.mode(),
-                    Period::Systolic(sp.s()),
-                );
-                floor = ob.report.best_rounds;
-                optimum_s = Some(sp.s());
-                optimum_kind = Some(kind.label());
-                if optimum.is_some() {
-                    yardstick = "systolic-optimal";
-                } else {
-                    yardstick = "oracle-floor";
-                }
+    if !cx.is_large(n) {
+        if let Ok((kind, sp)) = valid_protocol(net, cx, &g) {
+            optimum = systolic_gossip_time_pool(&sp, n, cx.opts.sim_budget, cx.row_threads(n));
+            let ob = cx.cache.oracle().bounds_on(
+                net,
+                &g,
+                cx.cache.diameter(net),
+                sp.mode(),
+                Period::Systolic(sp.s()),
+            );
+            floor = ob.report.best_rounds;
+            optimum_s = Some(sp.s());
+            optimum_kind = Some(kind.label());
+            if optimum.is_some() {
+                yardstick = "systolic-optimal";
+            } else {
+                yardstick = "oracle-floor";
             }
         }
     }
-    let spec = &scenario.randomized;
+    let spec = &cx.scenario.randomized;
     let mut rows = Vec::new();
     let mut text = format!(
         "{} — n = {}, {} randomized trials/model, seed {}, yardstick: {}\n",
@@ -713,8 +745,8 @@ fn randomized_unit(
             model,
             trials: spec.trials,
             seed: spec.seed,
-            max_rounds: opts.sim_budget,
-            threads: sim_threads.max(1),
+            max_rounds: cx.opts.sim_budget,
+            threads: cx.sim_threads.max(1),
             // Fixed per trial (never divided by the thread count), so
             // outcomes stay thread-count independent.
             mem_limit: Some(LARGE_SIM_MEM_LIMIT),
@@ -742,13 +774,11 @@ fn randomized_unit(
             ratio.map_or("—".into(), |r| format!("{r:.2}")),
         ));
         rows.push(
-            Row::new()
-                .with("kind", "randomized")
-                .with("network", net.name())
+            net_row("randomized", net)
                 .with("n", n)
                 .with("model", model.label())
                 .with("trials", spec.trials)
-                .with("seed", i64::try_from(spec.seed).unwrap_or(i64::MAX))
+                .with("seed", saturating_i64(spec.seed))
                 .with("completed", completed)
                 .with("mean_rounds", summary.map(|s| s.mean))
                 .with("median_rounds", summary.map(|s| s.median))
@@ -773,11 +803,10 @@ fn randomized_unit(
                 ),
         );
     }
-    UnitOut {
+    Ok(UnitOut {
         rows,
-        text: Some(text),
-        ..Default::default()
-    }
+        ..UnitOut::text(text)
+    })
 }
 
 /// Runs the exact enumerator for every finite period of the scenario's
@@ -787,80 +816,61 @@ fn randomized_unit(
 /// the batch cache and shared across the period sweep. The exhaustive
 /// pass fans out over the scenario's thread budget (or, by default, the
 /// batch `--sim-threads` budget); outcomes are bit-identical either way.
-fn enumerate_unit(
-    net: &Network,
-    scenario: &Scenario,
-    cache: &BuildCache,
-    sim_threads: usize,
-) -> UnitOut {
+fn enumerate_unit(net: &Network, cx: &UnitCx) -> NetOut {
     use sg_search::{enumerate_with_group, EnumerateConfig};
-    let g = cache.digraph(net);
-    let diameter = cache.diameter(net);
-    let group = cache.perm_group(net);
-    let threads = if scenario.enumerate.threads > 0 {
-        scenario.enumerate.threads
-    } else {
-        sim_threads.max(1)
+    let g = cx.cache.digraph(net);
+    let n = g.vertex_count();
+    let diameter = cx.cache.diameter(net);
+    let group = cx.cache.perm_group(net);
+    let threads = match cx.scenario.enumerate.threads {
+        0 => cx.sim_threads.max(1),
+        t => t,
     };
     let mut rows = Vec::new();
     let mut text = String::new();
-    for p in &scenario.periods {
+    for p in &cx.scenario.periods {
         let Period::Systolic(s) = p else {
-            text.push_str(&format!(
-                "{}: s = ∞ has no finite period to enumerate — skipped\n",
-                net.name()
-            ));
-            rows.push(
-                Row::new()
-                    .with("kind", "enumerate")
-                    .with("network", net.name())
-                    .with("n", g.vertex_count())
-                    .with("mode", scenario.mode.name())
-                    .with("s", "∞")
-                    .with("verdict", "skipped"),
-            );
+            skip_nonsystolic("enumerate", net, n, cx, &mut rows, &mut text);
             continue;
         };
         let cfg = EnumerateConfig::default().exact_period(*s).threads(threads);
-        let out = enumerate_with_group(
-            cache.oracle(),
+        let found = enumerate_with_group(
+            cx.cache.oracle(),
             net,
             &g,
             diameter,
-            scenario.mode,
+            cx.scenario.mode,
             &group,
             &cfg,
         );
-        let mut row = Row::new()
-            .with("kind", "enumerate")
-            .with("network", net.name())
-            .with("n", g.vertex_count())
-            .with("mode", scenario.mode.name())
+        let mut row = net_row("enumerate", net)
+            .with("n", n)
+            .with("mode", cx.scenario.mode.name())
             .with("s", *s)
-            .with("optimal_rounds", out.best_rounds)
-            .with("enumerated", out.enumerated)
-            .with("pruned", out.pruned)
-            .with("round_candidates", out.round_candidates)
-            .with("representatives", out.representatives)
-            .with("group_order", out.group_order.to_string())
-            .with("chain_depth", out.chain_depth)
-            .with("stabilizer_pruned", out.stabilizer_pruned)
-            .with("memo_hits", out.memo_hits)
-            .with("automorphisms", out.automorphisms)
-            .with("threads", out.threads);
-        match &out.certificate {
+            .with("optimal_rounds", found.best_rounds)
+            .with("enumerated", found.enumerated)
+            .with("pruned", found.pruned)
+            .with("round_candidates", found.round_candidates)
+            .with("representatives", found.representatives)
+            .with("group_order", found.group_order.to_string())
+            .with("chain_depth", found.chain_depth)
+            .with("stabilizer_pruned", found.stabilizer_pruned)
+            .with("memo_hits", found.memo_hits)
+            .with("automorphisms", found.automorphisms)
+            .with("threads", found.threads);
+        match &found.certificate {
             Some(cert) => {
                 text.push_str(&format!("{cert}\n"));
                 text.push_str(&format!(
                     "  symmetry: |Aut| = {} (chain depth {}), {} round-0 orbit reps, \
                      {} stabilizer-pruned, {} relaxation cuts {:?}, {} memo hits\n",
-                    out.group_order,
-                    out.chain_depth,
-                    out.representatives,
-                    out.stabilizer_pruned,
-                    out.pruned,
-                    out.pruned_per_level,
-                    out.memo_hits
+                    found.group_order,
+                    found.chain_depth,
+                    found.representatives,
+                    found.stabilizer_pruned,
+                    found.pruned,
+                    found.pruned_per_level,
+                    found.memo_hits
                 ));
                 row = row
                     .with("floor_rounds", cert.floor_rounds)
@@ -873,82 +883,62 @@ fn enumerate_unit(
                     "{} (n = {}), {} mode, s = {s}: no valid period-{s} schedule gossips — \
                      proven infeasible ({} enumerated)\n",
                     net.name(),
-                    g.vertex_count(),
-                    scenario.mode,
-                    out.enumerated
+                    n,
+                    cx.scenario.mode,
+                    found.enumerated
                 ));
                 row = row.with("verdict", "infeasible");
             }
         }
         rows.push(row);
     }
-    UnitOut {
+    Ok(UnitOut {
         rows,
-        text: Some(text),
-        ..Default::default()
-    }
+        ..UnitOut::text(text)
+    })
 }
 
 /// Runs `sg-search` for every exact period of the scenario's sweep and
 /// reports each best schedule with its certificate. The found-vs-bound
 /// relation is always surfaced — optimal, gap, or bound-slack — never
 /// silently dropped.
-fn search_unit(
-    net: &Network,
-    scenario: &Scenario,
-    cache: &BuildCache,
-    sim_threads: usize,
-) -> UnitOut {
+fn search_unit(net: &Network, cx: &UnitCx) -> NetOut {
     use sg_search::{search_with_oracle, SearchConfig, Verdict};
-    let g = cache.digraph(net);
-    let diameter = cache.diameter(net);
+    let g = cx.cache.digraph(net);
+    let n = g.vertex_count();
+    let diameter = cx.cache.diameter(net);
+    let mode = cx.scenario.mode;
     let mut rows = Vec::new();
     let mut text = String::new();
-    let mut periods: Vec<usize> = Vec::new();
-    for p in &scenario.periods {
-        match p {
-            Period::Systolic(s) => periods.push(*s),
-            Period::NonSystolic => {
-                // Synthesis needs a finite period to mutate; say so
-                // rather than dropping the sweep entry on the floor.
-                text.push_str(&format!(
-                    "{}: s = ∞ has no finite period to search — skipped\n",
-                    net.name()
-                ));
-                rows.push(
-                    Row::new()
-                        .with("kind", "search")
-                        .with("network", net.name())
-                        .with("n", g.vertex_count())
-                        .with("mode", scenario.mode.name())
-                        .with("s", "∞")
-                        .with("verdict", "skipped"),
-                );
-            }
+    // The `s = ∞` entries are reported first, then every finite period.
+    for p in &cx.scenario.periods {
+        if *p == Period::NonSystolic {
+            skip_nonsystolic("search", net, n, cx, &mut rows, &mut text);
         }
     }
-    for s in periods {
+    for p in &cx.scenario.periods {
+        let Period::Systolic(s) = *p else {
+            continue;
+        };
         let cfg = SearchConfig {
             min_period: s,
             max_period: s,
-            restarts: scenario.search.restarts,
-            iterations: scenario.search.iterations,
-            seed: scenario.search.seed,
-            threads: sim_threads.max(1),
+            restarts: cx.scenario.search.restarts,
+            iterations: cx.scenario.search.iterations,
+            seed: cx.scenario.search.seed,
+            threads: cx.sim_threads.max(1),
             ..Default::default()
         };
-        let out = search_with_oracle(cache.oracle(), net, &g, diameter, scenario.mode, &cfg);
-        match (&out.certificate, out.best_rounds) {
-            (Some(cert), Some(found)) => {
-                text.push_str(&format!("{cert}  [{} evals]\n", out.evaluations));
+        let found = search_with_oracle(cx.cache.oracle(), net, &g, diameter, mode, &cfg);
+        match (&found.certificate, found.best_rounds) {
+            (Some(cert), Some(rounds)) => {
+                text.push_str(&format!("{cert}  [{} evals]\n", found.evaluations));
                 rows.push(
-                    Row::new()
-                        .with("kind", "search")
-                        .with("network", net.name())
+                    net_row("search", net)
                         .with("n", cert.n)
-                        .with("mode", scenario.mode.name())
+                        .with("mode", mode.name())
                         .with("s", s)
-                        .with("found_rounds", found)
+                        .with("found_rounds", rounds)
                         .with("floor_rounds", cert.floor_rounds)
                         .with("floor_source", cert.floor_source.label())
                         .with("asymptotic_rounds", cert.asymptotic_rounds)
@@ -959,13 +949,13 @@ fn search_unit(
                             "bound_slack_rounds",
                             match cert.verdict {
                                 Verdict::BoundSlack { asymptotic_rounds } => {
-                                    Some(asymptotic_rounds - found as f64)
+                                    Some(asymptotic_rounds - rounds as f64)
                                 }
                                 _ => None,
                             },
                         )
-                        .with("evaluations", out.evaluations)
-                        .with("chains", out.chains),
+                        .with("evaluations", found.evaluations)
+                        .with("chains", found.chains),
                 );
             }
             _ => {
@@ -973,31 +963,29 @@ fn search_unit(
                 text.push_str(&format!(
                     "{} s = {s}: no completing schedule within the budget ({} evals)\n",
                     net.name(),
-                    out.evaluations
+                    found.evaluations
                 ));
                 rows.push(
-                    Row::new()
-                        .with("kind", "search")
-                        .with("network", net.name())
-                        .with("n", g.vertex_count())
-                        .with("mode", scenario.mode.name())
+                    net_row("search", net)
+                        .with("n", n)
+                        .with("mode", mode.name())
                         .with("s", s)
                         .with("found_rounds", Option::<usize>::None)
                         .with("verdict", "incomplete")
-                        .with("evaluations", out.evaluations),
+                        .with("evaluations", found.evaluations),
                 );
             }
         }
     }
-    UnitOut {
+    Ok(UnitOut {
         rows,
-        text: Some(text),
-        ..Default::default()
-    }
+        ..UnitOut::text(text)
+    })
 }
 
-fn family_row_unit(spec: &FamilySpec, scenario: &Scenario, cache: &BuildCache) -> UnitOut {
-    let row = family_row(spec, scenario.mode, &scenario.periods, cache.oracle());
+fn family_row_unit(spec: &FamilySpec, cx: &UnitCx) -> UnitOut {
+    let scenario = cx.scenario;
+    let row = family_row(spec, scenario.mode, &scenario.periods, cx.cache.oracle());
     let mut rows = Vec::new();
     for (p, cell) in scenario.periods.iter().zip(&row.cells) {
         rows.push(
@@ -1017,73 +1005,41 @@ fn family_row_unit(spec: &FamilySpec, scenario: &Scenario, cache: &BuildCache) -
     }
 }
 
-fn network_bounds_unit(net: &Network, scenario: &Scenario, cache: &BuildCache) -> UnitOut {
-    let g = cache.digraph(net);
-    let diameter = cache.diameter(net);
+fn network_bounds_unit(net: &Network, cx: &UnitCx) -> NetOut {
+    let g = cx.cache.digraph(net);
+    let diameter = cx.cache.diameter(net);
     let mut rows = Vec::new();
     let mut text = String::new();
-    for &p in &scenario.periods {
-        let ob = cache
+    for &p in &cx.scenario.periods {
+        let ob = cx
+            .cache
             .oracle()
-            .bounds_on(net, &g, diameter, scenario.mode, p);
+            .bounds_on(net, &g, diameter, cx.scenario.mode, p);
         text.push_str(&format!("{}\n", ob.report));
         rows.push(ob.report.row().with("kind", "bound"));
     }
-    UnitOut {
+    Ok(UnitOut {
         rows,
-        text: Some(text),
-        ..Default::default()
-    }
+        ..UnitOut::text(text)
+    })
 }
 
-fn simulate_unit(
-    net: &Network,
-    scenario: &Scenario,
-    cache: &BuildCache,
-    opts: &BatchOptions,
-    sim_threads: usize,
-) -> UnitOut {
-    // Gate on the hint first so hinted families at large order never
-    // build anything dense…
-    if let Some(n) = net.order_hint().filter(|&n| n >= opts.large_sim_min_n) {
-        return simulate_large_unit(net, scenario, opts, n, sim_threads);
-    }
-    let g = cache.digraph(net);
+fn simulate_unit(net: &Network, cx: &UnitCx) -> NetOut {
+    let g = dense_graph(net, cx, |n| {
+        cx.is_large(n).then(|| simulate_large_unit(net, cx, n))
+    })?;
     let n = g.vertex_count();
-    // …and re-check the *built* order for the hint-less families
-    // (trees, butterflies, de Bruijn, Kautz): a `db:2,17` has hint None
-    // but order 131 072, and the dense n²-bit `Knowledge` table below
-    // would be an OOM, not a slowdown. The digraph itself is only
-    // O(n + m), so building it to learn n is safe.
-    if n >= opts.large_sim_min_n {
-        return simulate_large_unit(net, scenario, opts, n, sim_threads);
-    }
-    // The shared protocol memo: a serve daemon or a second scenario in
-    // the same batch asking for this (network, mode) reuses the build.
-    let Some((kind, sp)) = cache.protocol(net, scenario.mode) else {
-        return UnitOut {
-            text: Some(format!(
-                "{}: no deterministic protocol in {} mode — skipped",
-                net.name(),
-                scenario.mode
-            )),
-            ..Default::default()
-        };
-    };
-    if let Err(e) = sp.validate(&g) {
-        return UnitOut {
-            text: Some(format!("{}: invalid protocol — {e}", net.name())),
-            ..Default::default()
-        };
-    }
-    let dg = cache.delay_digraph(net, kind, || DelayDigraph::periodic(&sp));
+    let (kind, sp) = valid_protocol(net, cx, &g)?;
+    let dg = cx
+        .cache
+        .delay_digraph(net, kind, || DelayDigraph::periodic(&sp));
     // A single memoized oracle lookup: when a bound scenario in the same
     // batch already asked for this (network, mode, period), the report is
     // shared rather than recomputed.
-    let ob = cache.oracle().bounds_on(
+    let ob = cx.cache.oracle().bounds_on(
         net,
         &g,
-        cache.diameter(net),
+        cx.cache.diameter(net),
         sp.mode(),
         Period::Systolic(sp.s()),
     );
@@ -1092,18 +1048,11 @@ fn simulate_unit(
     // measured gossip time (the engine is deterministic). Big units split
     // each round's row writes across the persistent worker pool; the
     // pool engine is bit-identical, so outputs don't depend on it.
-    let curve = knowledge_curve_pool(
-        &sp,
-        n,
-        opts.sim_budget,
-        effective_sim_threads(n, sim_threads),
-    );
+    let curve = knowledge_curve_pool(&sp, n, cx.opts.sim_budget, cx.row_threads(n));
     let measured = curve.last().filter(|s| s.min == n).map(|s| s.round);
-    let audit = audit_measured(net, &g, &sp, &dg, measured, opts.bound_opts);
+    let audit = audit_measured(net, &g, &sp, &dg, measured, cx.opts.bound_opts);
 
-    let mut rows = vec![Row::new()
-        .with("kind", "audit")
-        .with("network", net.name())
+    let mut rows = vec![net_row("audit", net)
         .with("n", n)
         .with("s", audit.s)
         .with("protocol_mode", sp.mode().name())
@@ -1140,9 +1089,7 @@ fn simulate_unit(
                 s.round, s.min, s.max, s.mean
             ));
             rows.push(
-                Row::new()
-                    .with("kind", "curve")
-                    .with("network", net.name())
+                net_row("curve", net)
                     .with("round", s.round)
                     .with("min", s.min)
                     .with("max", s.max)
@@ -1160,15 +1107,14 @@ fn simulate_unit(
         } else {
             text.push_str(&format!(
                 "did not complete within {} rounds\n",
-                opts.sim_budget
+                cx.opts.sim_budget
             ));
         }
     }
-    UnitOut {
+    Ok(UnitOut {
         rows,
-        text: Some(text),
-        ..Default::default()
-    }
+        ..UnitOut::text(text)
+    })
 }
 
 /// Simulate unit for networks at or beyond `opts.large_sim_min_n`:
@@ -1179,75 +1125,42 @@ fn simulate_unit(
 /// table, no all-pairs diameter, no λ-search audit, no protocol
 /// validation pass (the builders are conformance-tested at small n; the
 /// sparse and sliced engines are bit-identical by the same suite).
-/// `n` is the network order, supplied by the caller: the `order_hint`
-/// when one exists, else the built graph's real vertex count.
-fn simulate_large_unit(
-    net: &Network,
-    scenario: &Scenario,
-    opts: &BatchOptions,
-    n: usize,
-    sim_threads: usize,
-) -> UnitOut {
+/// `n` is the network order [`dense_graph`] judged.
+fn simulate_large_unit(net: &Network, cx: &UnitCx, n: usize) -> UnitOut {
     // Unstructured instances densify: the sparse state can approach the
-    // dense n²/8 bytes, so refuse upfront when even that worst case
-    // cannot fit, rather than burn minutes to a guaranteed abort.
+    // dense n²/8 bytes.
     if matches!(net, Network::RandomRegular { .. }) {
-        let worst = (n / 8).saturating_mul(n);
-        if worst > LARGE_SIM_MEM_LIMIT {
-            return UnitOut {
-                rows: vec![Row::new()
-                    .with("kind", "large-sim")
-                    .with("network", net.name())
-                    .with("n", n)
-                    .with("engine", "sparse")
-                    .with("verdict", "skipped-mem")],
-                text: Some(format!(
-                    "{}: unstructured rows densify — worst-case sparse state \
-                     ≈ {:.1} GiB exceeds the {:.1} GiB budget, skipped (run rows \
-                     stay compact only for structured protocols)\n",
-                    net.name(),
-                    worst as f64 / (1u64 << 30) as f64,
-                    LARGE_SIM_MEM_LIMIT as f64 / (1u64 << 30) as f64,
-                )),
-                ..Default::default()
-            };
+        let row = net_row("large-sim", net)
+            .with("n", n)
+            .with("engine", "sparse");
+        let tail = " (run rows stay compact only for structured protocols)";
+        if let Some(refused) = refuse_dense_worst_case(net, n, row, "unstructured", tail) {
+            return refused;
         }
     }
     let Some(sp) = net.reference_protocol() else {
-        return UnitOut {
-            text: Some(format!(
-                "{}: no deterministic protocol — skipped",
-                net.name()
-            )),
-            ..Default::default()
-        };
+        return UnitOut::text(format!(
+            "{}: no deterministic protocol — skipped",
+            net.name()
+        ));
     };
     // Mirror `protocol_for`'s mode rule without building the graph: a
     // full-duplex scenario only runs protocols that are full-duplex.
-    if scenario.mode == Mode::FullDuplex && sp.mode() != Mode::FullDuplex {
-        return UnitOut {
-            text: Some(format!(
-                "{}: no deterministic protocol in {} mode — skipped",
-                net.name(),
-                scenario.mode
-            )),
-            ..Default::default()
-        };
+    if cx.scenario.mode == Mode::FullDuplex && sp.mode() != Mode::FullDuplex {
+        return no_protocol(net, cx.scenario.mode);
     }
     let started = std::time::Instant::now();
     let out = run_systolic_large(
         &sp,
         n,
-        opts.sim_budget,
+        cx.opts.sim_budget,
         true,
         Some(LARGE_SIM_MEM_LIMIT),
-        sim_threads.max(1),
+        cx.sim_threads.max(1),
     );
     let elapsed = started.elapsed();
 
-    let mut rows = vec![Row::new()
-        .with("kind", "large-sim")
-        .with("network", net.name())
+    let mut rows = vec![net_row("large-sim", net)
         .with("n", n)
         .with("s", sp.s())
         .with("protocol_mode", sp.mode().name())
@@ -1297,13 +1210,7 @@ fn simulate_large_unit(
     for (i, &min) in out.result.trace.iter().enumerate() {
         if i % step == 0 || i + 1 == out.result.trace.len() {
             text.push_str(&format!("{:>6} {:>10}\n", i + 1, min));
-            rows.push(
-                Row::new()
-                    .with("kind", "curve")
-                    .with("network", net.name())
-                    .with("round", i + 1)
-                    .with("min", min),
-            );
+            rows.push(net_row("curve", net).with("round", i + 1).with("min", min));
         }
     }
     match out.result.completed_at {
@@ -1315,17 +1222,16 @@ fn simulate_large_unit(
         None if out.aborted_mem => text.push_str(&format!(
             "aborted after {} rounds: sparse state exceeded {:.1} GiB\n",
             out.rounds_run,
-            LARGE_SIM_MEM_LIMIT as f64 / (1u64 << 30) as f64,
+            gib(LARGE_SIM_MEM_LIMIT),
         )),
         None => text.push_str(&format!(
             "did not complete within {} rounds\n",
-            opts.sim_budget
+            cx.opts.sim_budget
         )),
     }
     UnitOut {
         rows,
-        text: Some(text),
-        ..Default::default()
+        ..UnitOut::text(text)
     }
 }
 
@@ -1340,55 +1246,37 @@ fn net_seed(net: &Network) -> u64 {
     h ^ 1997
 }
 
-fn compare_unit(
-    net: &Network,
-    scenario: &Scenario,
-    cache: &BuildCache,
-    opts: &BatchOptions,
-    sim_threads: usize,
-) -> UnitOut {
-    let skip_large = |n: usize| UnitOut {
-        text: Some(format!(
-            "{}: order {n} ≥ {} — the dense compare unit is skipped \
-             at this size (use a simulate scenario; the sparse engine covers it)",
-            net.name(),
-            opts.large_sim_min_n
-        )),
-        ..Default::default()
-    };
-    // Same two-stage gate as `simulate_unit`: hint first, then the
-    // built order for hint-less families.
-    if let Some(n) = net.order_hint().filter(|&n| n >= opts.large_sim_min_n) {
-        return skip_large(n);
-    }
-    let g = cache.digraph(net);
+fn compare_unit(net: &Network, cx: &UnitCx) -> NetOut {
+    let g = dense_graph(net, cx, |n| {
+        cx.is_large(n).then(|| {
+            UnitOut::text(format!(
+                "{}: order {n} ≥ {} — the dense compare unit is skipped \
+                 at this size (use a simulate scenario; the sparse engine covers it)",
+                net.name(),
+                cx.opts.large_sim_min_n
+            ))
+        })
+    })?;
     let n = g.vertex_count();
-    if n >= opts.large_sim_min_n {
-        return skip_large(n);
-    }
     let mut rows = Vec::new();
     let mut text = String::new();
 
-    match cache.protocol(net, scenario.mode) {
+    match cx.cache.protocol(net, cx.scenario.mode) {
         Some((kind, sp)) => {
             // 1. Audit the deterministic protocol against every bound,
             //    measuring the gossip time through the persistent
             //    worker-pool engine (bit-identical to sequential, shares
-            //    the global thread budget).
-            let dg = cache.delay_digraph(net, kind, || DelayDigraph::periodic(&sp));
+            //    the global thread budget). An invalid protocol is still
+            //    audited, with no measured time.
+            let dg = cx
+                .cache
+                .delay_digraph(net, kind, || DelayDigraph::periodic(&sp));
             let measured = sp
                 .validate(&g)
                 .is_ok()
-                .then(|| {
-                    systolic_gossip_time_pool(
-                        &sp,
-                        n,
-                        opts.sim_budget,
-                        effective_sim_threads(n, sim_threads),
-                    )
-                })
+                .then(|| systolic_gossip_time_pool(&sp, n, cx.opts.sim_budget, cx.row_threads(n)))
                 .flatten();
-            let audit = audit_measured(net, &g, &sp, &dg, measured, opts.bound_opts);
+            let audit = audit_measured(net, &g, &sp, &dg, measured, cx.opts.bound_opts);
             let sound = audit.is_sound();
             text.push_str(&format!(
                 "{:<16} n {:>6}  s {:>3}  measured {:>7}  Thm4.1 {:>8}  Cor4.4 {:>8.1}  {}\n",
@@ -1404,9 +1292,7 @@ fn compare_unit(
                 if sound { "sound" } else { "VIOLATION" }
             ));
             rows.push(
-                Row::new()
-                    .with("kind", "audit")
-                    .with("network", net.name())
+                net_row("audit", net)
                     .with("n", n)
                     .with("s", audit.s)
                     .with("measured_rounds", audit.measured_rounds)
@@ -1427,7 +1313,7 @@ fn compare_unit(
                     let t = out.rounds as f64;
                     let bound = e_general_nonsystolic() * (n as f64).log2();
                     let slack = 2.0 * t.max(2.0).log2();
-                    let diam = cache.diameter(net);
+                    let diam = cx.cache.diameter(net);
                     let sound =
                         bound - slack <= t + 1e-9 && diam.is_none_or(|d| out.rounds >= d as usize);
                     text.push_str(&format!(
@@ -1439,9 +1325,7 @@ fn compare_unit(
                         if sound { "sound" } else { "VIOLATION" }
                     ));
                     rows.push(
-                        Row::new()
-                            .with("kind", "greedy")
-                            .with("network", net.name())
+                        net_row("greedy", net)
                             .with("n", n)
                             .with("greedy_rounds", out.rounds)
                             .with("nonsystolic_bound", bound)
@@ -1454,7 +1338,7 @@ fn compare_unit(
         None => {
             // Directed shift network: Section 7 weighted-diameter bound
             // vs the exact Dijkstra diameter.
-            let wg = match scenario.weights {
+            let wg = match cx.scenario.weights {
                 WeightScheme::Unit => WeightedDigraph::unit_weights(&g),
                 WeightScheme::ParityOneThree => WeightedDigraph::from_arcs(
                     n,
@@ -1467,7 +1351,7 @@ fn compare_unit(
                     }),
                 ),
             };
-            let bound = weighted_diameter_bound(&wg, opts.bound_opts);
+            let bound = weighted_diameter_bound(&wg, cx.opts.bound_opts);
             let diam = wg.diameter();
             match (bound, diam) {
                 (Some(b), Some(d)) => {
@@ -1482,9 +1366,7 @@ fn compare_unit(
                         if sound { "sound" } else { "VIOLATION" }
                     ));
                     rows.push(
-                        Row::new()
-                            .with("kind", "diameter")
-                            .with("network", net.name())
+                        net_row("diameter", net)
                             .with("n", n)
                             .with("lambda_star", b.lambda_star)
                             .with("bound_rounds", b.rounds)
@@ -1516,9 +1398,7 @@ fn compare_unit(
                 if ok { "ok" } else { "VIOLATION" }
             ));
             rows.push(
-                Row::new()
-                    .with("kind", "separator")
-                    .with("network", net.name())
+                net_row("separator", net)
                     .with("v1", sep.v1.len())
                     .with("v2", sep.v2.len())
                     .with("measured_distance", measured)
@@ -1528,11 +1408,10 @@ fn compare_unit(
         }
     }
 
-    UnitOut {
+    Ok(UnitOut {
         rows,
-        text: Some(text),
-        ..Default::default()
-    }
+        ..UnitOut::text(text)
+    })
 }
 
 fn matrices_unit() -> UnitOut {
@@ -1578,8 +1457,7 @@ fn matrices_unit() -> UnitOut {
         .with("ox_semi_eigenvalue", lm.ox_semi_eigenvalue(lambda))];
     UnitOut {
         rows,
-        text: Some(text),
-        ..Default::default()
+        ..UnitOut::text(text)
     }
 }
 
@@ -1612,10 +1490,4 @@ fn checks_unit(checks: &[PaperCheck]) -> UnitOut {
         checks: outcomes,
         ..Default::default()
     }
-}
-
-// Re-export used by the CLI for "broadcast constants check" style notes.
-#[doc(hidden)]
-pub fn broadcast_constant(d: usize) -> f64 {
-    c_broadcast(d)
 }

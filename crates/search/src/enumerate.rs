@@ -1101,27 +1101,15 @@ impl IncumbentDfs<'_> {
 // Entry points.
 // ---------------------------------------------------------------------
 
-/// Runs the exact enumeration for `net` in `mode`, building the graph
-/// and a throwaway oracle on the spot. See [`enumerate_with_oracle`] for
-/// the batch entry point.
+/// Runs the exact enumeration for `net` in `mode`, building the graph,
+/// its automorphism group and a throwaway oracle on the spot. The batch
+/// runner calls [`enumerate_with_group`] with its cached group and
+/// oracle instead.
 pub fn enumerate(net: &Network, mode: Mode, cfg: &EnumerateConfig) -> EnumerateOutcome {
     let g = net.build();
     let diameter = sg_graphs::traversal::diameter(&g);
-    enumerate_with_oracle(&BoundOracle::new(), net, &g, diameter, mode, cfg)
-}
-
-/// [`enumerate_with_group`] with the automorphism group computed on the
-/// spot. The batch runner passes its cached group instead.
-pub fn enumerate_with_oracle(
-    oracle: &BoundOracle,
-    net: &Network,
-    g: &Digraph,
-    diameter: Option<u32>,
-    mode: Mode,
-    cfg: &EnumerateConfig,
-) -> EnumerateOutcome {
-    let group = sg_graphs::group::automorphism_group(g);
-    enumerate_with_group(oracle, net, g, diameter, mode, &group, cfg)
+    let group = sg_graphs::group::automorphism_group(&g);
+    enumerate_with_group(&BoundOracle::new(), net, &g, diameter, mode, &group, cfg)
 }
 
 /// Evaluates every seed protocol refitted to period `s`, returning the

@@ -48,8 +48,7 @@ pub use candidate::Candidate;
 pub use certificate::{ceil_log2, certify, certify_with, Certificate, FloorSource, Verdict};
 pub use driver::{search, search_on, search_with_oracle, SearchConfig, SearchOutcome};
 pub use enumerate::{
-    enumerate, enumerate_with_group, enumerate_with_oracle, maximal_rounds, EnumerateConfig,
-    EnumerateOutcome,
+    enumerate, enumerate_with_group, maximal_rounds, EnumerateConfig, EnumerateOutcome,
 };
 pub use kernel::MutationKernel;
 pub use seeds::{fit_to_period, seed_protocols};

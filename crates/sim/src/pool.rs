@@ -176,6 +176,16 @@ fn worker_loop(shared: &Shared) {
                 std::hint::spin_loop();
             } else {
                 let guard = shared.park.lock().unwrap();
+                // Re-check under the park mutex: a bump that landed after
+                // the read above may already have been notified, and
+                // waiting now would sleep out the timeout. The publisher
+                // bumps before it takes this mutex, so a bump not visible
+                // here is notified only once the wait has released it.
+                if shared.epoch.load(Ordering::Acquire) != last
+                    || shared.shutdown.load(Ordering::Acquire)
+                {
+                    continue;
+                }
                 let _unused = shared
                     .wake
                     .wait_timeout(guard, Duration::from_millis(1))

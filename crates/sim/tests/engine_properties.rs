@@ -372,3 +372,67 @@ fn chain_with_self_loop_and_duplicate_target_pins_semantics() {
         assert_eq!(sparse_engine.to_dense(), oracle);
     }
 }
+
+/// One wild round over `n` vertices that still reaches the pool's
+/// parallel dispatch most of the time: full-duplex pairs, then arcs from
+/// arbitrary sources (self-loops and sources that are also targets
+/// included) into distinct targets, and — one round in four — a
+/// duplicate target that forces the sequential fallback.
+fn wild_parallel_round(n: usize, state: &mut u64) -> Round {
+    let mut next = |bound: usize| {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (*state >> 33) as usize % bound
+    };
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        order.swap(i, next(i + 1));
+    }
+    let pairs = next(n / 4);
+    let mut arcs = Vec::new();
+    for p in order[..2 * pairs].chunks(2) {
+        arcs.push(Arc::new(p[0], p[1]));
+        arcs.push(Arc::new(p[1], p[0]));
+    }
+    for &to in &order[2 * pairs..] {
+        if next(4) != 0 {
+            arcs.push(Arc::new(next(n), to));
+        }
+    }
+    if next(4) == 0 {
+        arcs.push(Arc::new(next(n), order[0]));
+    }
+    Round::new(arcs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Stress test of the persistent pool: wild rounds big enough to
+    /// dispatch, replayed over several periods at every thread budget
+    /// from 1 to 8, match the reference applier bit for bit after every
+    /// round. Workers park between the reference's rounds, so the
+    /// publish/park handshake runs thousands of times.
+    #[test]
+    fn pool_matches_reference_on_wild_rounds_at_every_thread_count(
+        seed in 0u64..1_000_000,
+        period_len in 1usize..6,
+    ) {
+        let n = 192;
+        let mut state = seed;
+        let rounds: Vec<Round> =
+            (0..period_len).map(|_| wild_parallel_round(n, &mut state)).collect();
+        for threads in 1..=8 {
+            let mut engine = PoolEngine::new(CompiledSchedule::compile(&rounds, n), threads);
+            let mut pool = Knowledge::initial(n);
+            let mut oracle = Knowledge::initial(n);
+            for i in 0..3 * rounds.len() {
+                let a = engine.apply(&mut pool, i);
+                let b = apply_round_reference(&mut oracle, &rounds[i % rounds.len()]);
+                prop_assert_eq!(a, b, "changed flag diverged at round {} ({} threads)", i, threads);
+                prop_assert_eq!(&pool, &oracle, "state diverged at round {} ({} threads)", i, threads);
+            }
+        }
+    }
+}
