@@ -1,23 +1,37 @@
 //! Protocol-specific lower bounds: Theorem 4.1 and Theorem 5.1 evaluated
 //! on a *concrete* systolic protocol via its delay matrix.
 //!
-//! Given a protocol, the evaluator finds the largest `λ*` with
-//! `‖M(λ*)‖ ≤ 1` (the norm is entrywise-monotone in `λ`, so bisection is
-//! exact) and solves Theorem 4.1's implicit inequality
+//! Given a protocol, the evaluator finds `λ* = sup{λ : ‖M(λ)‖ ≤ 1}` and
+//! solves Theorem 4.1's implicit inequality
 //! `t > (log₂ n − 2·log₂ t) / log₂(1/λ*)` for the break-even `t` — every
 //! protocol length that actually gossips must exceed it. The separator
 //! variant (Theorem 5.1) additionally exploits a far-apart vertex-set pair
 //! `(V1, V2)` and maximizes over `λ`.
+//!
+//! `λ*` is *certified*: the reported value is a `λ` at which
+//! `‖M(λ)‖ ≤ 1` has been proved, never a point where a norm estimate
+//! merely looked small enough, so it is never above the true supremum
+//! and the bound is never too strong. One bisection
+//! (`certified_lambda_star`) serves Theorem 4.1, [`broadcast_bound`]
+//! and the Section 7 diameter bound. `M(λ)` is entrywise nondecreasing in
+//! `λ`, so its norm is too, and each bisection step is a decision made by
+//! the certified bracket of [`sg_linalg::norm::gram_bracket`]: a Collatz–Wielandt upper end
+//! `≤ 1` (the Lemma 2.1 semi-eigenvector argument applied to `MᵀM`) makes
+//! `λ` feasible, a Rayleigh lower end `> 1` makes it infeasible, and a
+//! step that stays undecided within its iteration budget counts as
+//! infeasible. The power-iteration vector carries over from step to step.
 
 use crate::digraph::DelayDigraph;
-use sg_linalg::norm::PowerIterOpts;
+use sg_linalg::norm::gram_bracket;
 use sg_linalg::roots::bisect_increasing;
+use sg_linalg::sparse::CsrMatrix;
 use sg_protocol::protocol::SystolicProtocol;
 
 /// A lower bound on the length of a gossip protocol, from Theorem 4.1.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolBound {
-    /// The largest `λ` with `‖M(λ)‖ ≤ 1` (periodic delay matrix).
+    /// The largest certified `λ` with `‖M(λ)‖ ≤ 1` (periodic delay
+    /// matrix); never above the true supremum.
     pub lambda_star: f64,
     /// `log₂(1/λ*)` — the per-item entropy rate of the protocol.
     pub log_inv_lambda: f64,
@@ -29,51 +43,85 @@ pub struct ProtocolBound {
     pub rounds: f64,
 }
 
-/// Options for the bound evaluators.
-#[derive(Debug, Clone, Copy)]
-pub struct BoundOpts {
-    /// Power-iteration options used per norm evaluation.
-    pub power: PowerIterOpts,
-    /// Bisection iterations for `λ*` (each costs one norm evaluation).
-    pub lambda_iters: usize,
-}
+/// Options for the bound evaluators. The certified `λ`-search has no
+/// tuning knobs, so there are no fields; the type keeps one options value
+/// threaded through every evaluator and batch configuration.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BoundOpts {}
 
-impl Default for BoundOpts {
-    fn default() -> Self {
-        Self {
-            power: PowerIterOpts::default(),
-            lambda_iters: 60,
-        }
-    }
-}
+/// Iterations one bisection step may spend before it counts as undecided.
+const STEP_ITERS: usize = 2_000;
+/// Iterations for the endpoint probes and the Theorem 5.1 grid points,
+/// where an undecided answer would drop a bound outright.
+const PROBE_ITERS: usize = 20_000;
+/// Bisection endpoints: `λ*` is searched in `[LAMBDA_MIN, 1 − LAMBDA_MIN]`.
+const LAMBDA_MIN: f64 = 1e-9;
 
-/// Finds `λ* = sup{λ ∈ (0,1) : ‖M(λ)‖ ≤ 1}` for the periodic delay matrix
-/// of `sp`. Returns `None` when even `λ → 1⁻` keeps the norm at most 1
-/// (degenerate protocols whose delay digraph carries no mass — then the
-/// method yields no bound).
-pub fn lambda_star(dg: &DelayDigraph, opts: BoundOpts) -> Option<f64> {
-    let hi = 1.0 - 1e-9;
-    if dg.norm(hi, opts.power) <= 1.0 {
+/// The largest certified `λ` with `‖A(λ)‖ ≤ 1`, for a nonnegative matrix
+/// family whose entries are powers `λʷ` with `1 ≤ w ≤ max_exp` (so `A(λ)`
+/// is entrywise nondecreasing in `λ`).
+///
+/// Returns `None` when `‖A(1 − 10⁻⁹)‖ > 1` is not certified (the family
+/// never carries enough mass, and the method yields no bound) or when
+/// `‖A(10⁻⁹)‖ ≤ 1` is not. Each stored entry `λʷ` is within `max_exp`
+/// roundings of the exact power, which [`NormSqBracket::widen`] accounts
+/// for, so the certificate speaks about the exact `A(λ)`.
+///
+/// The search keeps `lo` certified feasible and `hi` not. It stops once
+/// `hi − lo ≤ 10⁻¹²·lo`, or at an undecided step once
+/// `hi − lo < 10⁻⁹·lo`: an undecided step sets `hi = mid` but does not end
+/// a wide search, because at `λ = λ*` itself (e.g. the first midpoint ½ of
+/// a unit-weight de Bruijn digraph, where `‖A(λ)‖ = 2λ`) no finite
+/// iteration count decides.
+///
+/// [`NormSqBracket::widen`]: sg_linalg::norm::NormSqBracket::widen
+pub(crate) fn certified_lambda_star(
+    max_exp: u32,
+    matrix: impl Fn(f64) -> CsrMatrix,
+) -> Option<f64> {
+    let roundings = max_exp as usize;
+    let mut x: Vec<f64> = Vec::new();
+    let mut decide = |lambda: f64, iters: usize| {
+        let a = matrix(lambda);
+        x.resize(a.cols(), 1.0);
+        gram_bracket(&a, &mut x, iters, |b| {
+            b.widen(roundings).compare(1.0).is_some()
+        })
+        .widen(roundings)
+        .compare(1.0)
+    };
+    let (mut lo, mut hi) = (LAMBDA_MIN, 1.0 - LAMBDA_MIN);
+    if decide(hi, PROBE_ITERS) != Some(false) || decide(lo, PROBE_ITERS) != Some(true) {
         return None;
     }
-    let lo = 1e-9;
-    if dg.norm(lo, opts.power) > 1.0 {
-        // Even infinitesimal λ exceeds norm 1 — cannot happen for finite
-        // digraphs with positive delays, but guard anyway.
-        return Some(lo);
-    }
-    // Bisection on the monotone function λ ↦ ‖M(λ)‖ − 1.
-    let mut lo = lo;
-    let mut hi = hi;
-    for _ in 0..opts.lambda_iters {
+    while hi - lo > 1e-12 * lo {
         let mid = 0.5 * (lo + hi);
-        if dg.norm(mid, opts.power) <= 1.0 {
-            lo = mid;
-        } else {
-            hi = mid;
+        match decide(mid, STEP_ITERS) {
+            Some(true) => lo = mid,
+            Some(false) => hi = mid,
+            None => {
+                hi = mid;
+                if hi - lo < 1e-9 * lo {
+                    break;
+                }
+            }
         }
     }
     Some(lo)
+}
+
+/// The largest delay of `dg`: the highest power of `λ` in `M(λ)`.
+fn max_delay(dg: &DelayDigraph) -> u32 {
+    dg.edges.iter().map(|&(_, _, w)| w).max().unwrap_or(0)
+}
+
+/// Finds the certified `λ* = sup{λ ∈ (0,1) : ‖M(λ)‖ ≤ 1}` for the
+/// periodic delay digraph `dg` by the module's certified bisection. Returns
+/// `None` when even `λ → 1⁻` keeps the norm at most 1 (degenerate
+/// protocols whose delay digraph carries no mass — then the method yields
+/// no bound).
+pub fn lambda_star(dg: &DelayDigraph, _opts: BoundOpts) -> Option<f64> {
+    certified_lambda_star(max_delay(dg), |l| dg.matrix(l))
 }
 
 /// Solves `t = (a − b·log₂ t) / c` for the break-even `t ≥ 1` (the RHS is
@@ -129,7 +177,7 @@ pub fn theorem_4_1_bound_from_digraph(
 pub struct SeparatorProtocolBound {
     /// The maximizing `λ`.
     pub lambda: f64,
-    /// `‖M(λ)‖` at the maximizer.
+    /// A certified upper bound on `‖M(λ)‖` at the maximizer.
     pub norm: f64,
     /// The break-even `t`: any gossiping execution satisfies `t > rounds`.
     pub rounds: f64,
@@ -148,6 +196,7 @@ pub fn theorem_5_1_bound(
 ) -> Option<SeparatorProtocolBound> {
     assert!(grid >= 2);
     let dg = DelayDigraph::periodic(sp);
+    let roundings = max_delay(&dg) as usize;
     let d = sep_distance as f64;
     let log2c = (sep_min_size as f64).log2();
     let mut best: Option<SeparatorProtocolBound> = None;
@@ -157,11 +206,20 @@ pub fn theorem_5_1_bound(
     if let Some(ls) = lambda_star(&dg, opts) {
         candidates.push(ls);
     }
+    // The bound falls as ‖M‖ grows, so it takes the certified upper end
+    // of the bracket; the power-iteration vector carries across points.
+    let mut x = vec![1.0; dg.vertex_count()];
     for l in candidates {
-        let norm = dg.norm(l, opts.power);
-        if norm > 1.0 || norm <= 0.0 {
+        let upper = gram_bracket(&dg.matrix(l), &mut x, PROBE_ITERS, |b| {
+            let b = b.widen(roundings);
+            b.lower > 1.0 || b.upper - b.lower <= 1e-12 * b.upper
+        })
+        .widen(roundings)
+        .upper;
+        if upper > 1.0 || upper <= 0.0 {
             continue;
         }
+        let norm = upper.sqrt();
         let log_inv = (1.0 / l).log2();
         // t ≥ (log₂ c − (d−1)·log₂‖M‖ − log₂(t−d+2) − log₂ t) / log₂(1/λ).
         // Bisection on the increasing g(t) = t − RHS(t), domain t ≥ d.
@@ -235,14 +293,7 @@ mod tests {
     use sg_sim::engine::systolic_gossip_time;
 
     fn opts() -> BoundOpts {
-        BoundOpts {
-            power: PowerIterOpts {
-                max_iters: 20_000,
-                tol: 1e-12,
-                seed: 7,
-            },
-            lambda_iters: 45,
-        }
+        BoundOpts::default()
     }
 
     #[test]

@@ -17,16 +17,16 @@
 //! the adjacency norm is `d`, so `λ* = 1/d` and the bound is
 //! `≈ log_d(n) = D` — the true diameter.
 
-use crate::bound::BoundOpts;
+use crate::bound::{certified_lambda_star, BoundOpts};
 use sg_graphs::weighted::WeightedDigraph;
-use sg_linalg::norm::spectral_norm_sparse;
 use sg_linalg::roots::bisect_increasing;
 use sg_linalg::sparse::{CooBuilder, CsrMatrix};
 
 /// A lower bound on the weighted diameter of a digraph.
 #[derive(Debug, Clone, Copy)]
 pub struct DiameterBound {
-    /// The largest `λ` with `‖A(λ)‖ ≤ 1`.
+    /// The largest certified `λ` with `‖A(λ)‖ ≤ 1`; never above the true
+    /// supremum.
     pub lambda_star: f64,
     /// The break-even `L`: the weighted diameter satisfies
     /// `diam ≥ rounds`.
@@ -46,41 +46,16 @@ pub fn weight_matrix(wg: &WeightedDigraph, lambda: f64) -> CsrMatrix {
     b.build()
 }
 
-/// `‖A(λ)‖₂` of the weight matrix.
-pub fn weight_matrix_norm(wg: &WeightedDigraph, lambda: f64, opts: BoundOpts) -> f64 {
-    spectral_norm_sparse(&weight_matrix(wg, lambda), opts.power)
-}
-
-/// The Section 7 diameter bound. Returns `None` for digraphs whose weight
-/// matrix never reaches norm 1 (e.g. too few arcs to carry any mass — the
-/// method then says nothing).
-pub fn weighted_diameter_bound(wg: &WeightedDigraph, opts: BoundOpts) -> Option<DiameterBound> {
+/// The Section 7 diameter bound, with `λ*` certified by the same
+/// bisection as Theorem 4.1 (so it is never above the true supremum).
+/// Returns `None` for digraphs whose weight matrix never reaches norm 1
+/// (e.g. too few arcs to carry any mass — the method then says nothing).
+pub fn weighted_diameter_bound(wg: &WeightedDigraph, _opts: BoundOpts) -> Option<DiameterBound> {
     let n = wg.vertex_count();
     if n < 2 {
         return None;
     }
-    let hi = 1.0 - 1e-9;
-    if weight_matrix_norm(wg, hi, opts) <= 1.0 {
-        return None;
-    }
-    let mut lo = 1e-9;
-    let mut hi = hi;
-    if weight_matrix_norm(wg, lo, opts) > 1.0 {
-        return Some(DiameterBound {
-            lambda_star: lo,
-            rounds: 1.0,
-            first_order: 0.0,
-        });
-    }
-    for _ in 0..opts.lambda_iters {
-        let mid = 0.5 * (lo + hi);
-        if weight_matrix_norm(wg, mid, opts) <= 1.0 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let lambda_star = lo;
+    let lambda_star = certified_lambda_star(wg.max_weight(), |l| weight_matrix(wg, l))?;
     let log_inv = (1.0 / lambda_star).log2();
     if log_inv <= 0.0 {
         return None;

@@ -12,10 +12,11 @@
 //!   `ρ(M) ≤ e`, Lemma 2.1).
 //!
 //! This crate implements exactly what the paper needs, from scratch:
-//! dense and CSR sparse matrices over `f64`, power iteration for spectral
-//! norms and radii of nonnegative matrices, the gossip polynomials
-//! `p_i(λ) = 1 + λ² + ⋯ + λ^{2i−2}`, robust scalar root finding
-//! (bisection and Brent) and derivative-free 1-D maximization.
+//! dense and CSR sparse matrices over `f64`, a certified Rayleigh /
+//! Collatz–Wielandt bracket on the spectral norm of a nonnegative matrix
+//! (plus plain power-iteration estimates of norms and radii), the gossip
+//! polynomials `p_i(λ) = 1 + λ² + ⋯ + λ^{2i−2}`, robust scalar root
+//! finding (bisection and Brent) and derivative-free 1-D maximization.
 //!
 //! Everything is deterministic: random starting vectors for power iteration
 //! use a seeded [xorshift](rng::XorShift64) generator so that test failures

@@ -1,24 +1,17 @@
 //! The determinism guarantee, enforced across the registry: a batch's
 //! rows and text do not depend on the thread budget. Every registry
 //! scenario runs at budgets 1, 2 and 8 except the large instances and
-//! the few whose debug-build cost would dominate the test; the rows,
-//! with their wall-clock `elapsed_ms` fields removed, must serialize
-//! byte for byte alike.
+//! one enumeration whose debug-build cost would dominate the test; the
+//! rows, with their wall-clock `elapsed_ms` fields removed, must
+//! serialize byte for byte alike.
 
 use sg_scenario::{registry, run_batch, BatchOptions, Scenario, Task};
 use systolic_gossip::to_json_line;
 
-/// Left out: the n ≥ 10⁵ instances, and scenarios that each cost
+/// Left out: the n ≥ 10⁵ instances, and an enumeration that costs
 /// several seconds in a debug build while adding no unit kind or task
 /// the rest do not cover.
-const SKIPPED: &[&str] = &[
-    "rand-large-rr",
-    "random-regular",
-    "ccc-tour",
-    "shuffle-exchange",
-    "curves",
-    "enum-knodel-w416",
-];
+const SKIPPED: &[&str] = &["rand-large-rr", "enum-knodel-w416"];
 
 fn subset() -> Vec<Scenario> {
     registry()
