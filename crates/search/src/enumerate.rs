@@ -62,13 +62,19 @@
 //!    needs to complete, or that it never can) depends only on the state
 //!    — and is invariant under automorphisms. It is memoized per
 //!    *canonical* state signature: the exact orbit minimum of the
-//!    relabeled bitset image when the element list is materialized
-//!    (early-abort lexicographic scan), or the
-//!    individualization–refinement canonical form of the combined
-//!    (adjacency, knowledge) relational structure
-//!    ([`sg_graphs::refine`]) beyond the cap. Either way the signature
-//!    is exactly canonical — the old `CANONICAL_PERM_CAP` identity
-//!    fallback is gone.
+//!    relabeled bitset image when the element list is materialized and
+//!    rows fit one word (`n ≤ 64`; early-abort lexicographic scan, items
+//!    relabeled through per-permutation nibble tables, the image packed
+//!    into `⌈n²/64⌉` words), or the individualization–refinement
+//!    canonical form of the combined (adjacency, knowledge) relational
+//!    structure ([`sg_graphs::refine`]) beyond the cap or beyond 64
+//!    processors. Either way the signature is exactly canonical — the
+//!    old `CANONICAL_PERM_CAP` identity fallback is gone. Signatures
+//!    live in a flat sharded memo (fixed-width key arenas, no per-entry
+//!    allocation), and each worker keeps a bounded direct-mapped front
+//!    cache keyed on the raw packed state, so a state seen again skips
+//!    its signature entirely; the cache only repeats distances the memo
+//!    already published, so it changes no outcome and no counter.
 //! 4. **Oracle floors and relaxation cuts.** The shared [`BoundOracle`]
 //!    supplies the exact floor — a seed protocol meeting it settles the
 //!    instance without search — and every prefix is cut when even the
@@ -86,10 +92,14 @@
 //! enumerated or cut by a bound that depends only on the subtree, never
 //! on discovery order. The pass fans out over a breadth-first frontier
 //! of subtree tasks claimed from an atomic cursor by scoped workers
-//! (the idiom of `sg-sim`'s work-stealing pool), each with private
-//! scratch and a sharded single-flight memo; because pruning is a pure
-//! function of the node, the set of visited nodes — hence every counter
-//! — is identical at any thread count, and the witness is the
+//! (the idiom of `sg-sim`'s work-stealing pool). Each worker owns its
+//! scratch — pooled per-depth knowledge and stabilizer buffers refilled
+//! with [`Knowledge::copy_from`], a signature engine and a ~1 MiB front
+//! cache — so a node allocates nothing once the pools are warm; workers
+//! share one single-flight memo (a pending marker set under the shard
+//! lock, re-checked by waiters). Because pruning is a pure function of
+//! the node, the set of visited nodes — hence every counter — is
+//! identical at any thread count, and the witness is the
 //! lexicographically least minimum-value completion regardless of which
 //! worker found it. Unseeded instances (no valid completing seed
 //! exists) run the sequential incumbent-tightening descent — already
@@ -111,8 +121,8 @@ use sg_protocol::protocol::SystolicProtocol;
 use sg_protocol::round::Round;
 use sg_sim::{CompiledSchedule, CompletionCursor, Knowledge};
 use std::cmp::Ordering;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrd};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrd};
 use std::sync::Mutex;
 use systolic_gossip::{BoundOracle, Network};
 
@@ -398,21 +408,29 @@ impl Symmetry {
         }
     }
 
-    /// The stabilizer of the prefix extended by fixed round `c`.
-    fn child(&self, stab: &Stab, c: usize) -> Stab {
+    /// The stabilizer of the prefix extended by fixed round `c`, written
+    /// to `out` (the element regime refills its index list in place).
+    fn child(&self, stab: &Stab, c: usize, out: &mut Stab) {
         match (self, stab) {
-            (Symmetry::Elements { action }, Stab::Elements(idx)) => Stab::Elements(
-                idx.iter()
+            (Symmetry::Elements { action }, Stab::Elements(idx)) => {
+                let keep = idx
+                    .iter()
                     .copied()
-                    .filter(|&p| action[p as usize][c] as usize == c)
-                    .collect(),
-            ),
+                    .filter(|&p| action[p as usize][c] as usize == c);
+                match out {
+                    Stab::Elements(dst) => {
+                        dst.clear();
+                        dst.extend(keep);
+                    }
+                    _ => *out = Stab::Elements(keep.collect()),
+                }
+            }
             (_, Stab::Chain { group, .. }) => {
                 let sub = group.pointwise_stabilizer(&[c]);
-                Stab::Chain {
+                *out = Stab::Chain {
                     orbit_min: orbit_minima(&sub),
                     group: sub,
-                }
+                };
             }
             _ => unreachable!("stabilizer kind matches symmetry kind"),
         }
@@ -423,26 +441,156 @@ impl Symmetry {
 // Canonical state signatures: exact orbit keys at any group order.
 // ---------------------------------------------------------------------
 
+/// Packs the one-word rows of an `n ≤ 64` state into `⌈n²/64⌉` words:
+/// row `v` occupies bits `v·n .. (v+1)·n` of the concatenation. Rows
+/// never exceed `n` bits, so the packing is injective.
+fn pack_rows(rows: impl Iterator<Item = u64>, n: usize, out: &mut [u64]) {
+    out.fill(0);
+    for (v, row) in rows.enumerate() {
+        let (w, off) = ((v * n) / 64, (v * n) % 64);
+        out[w] |= row << off;
+        if off + n > 64 {
+            out[w + 1] |= row >> (64 - off);
+        }
+    }
+}
+
+/// Words of a packed `n × n` state.
+fn packed_words(n: usize) -> usize {
+    (n * n).div_ceil(64).max(1)
+}
+
+/// One word-wise hash for both key caches: a multiply–rotate fold with
+/// a splitmix64 finalizer, so low bits (slot) and high bits (shard) are
+/// both well mixed.
+fn hash_words(key: &[u64]) -> u64 {
+    let mut h = key.len() as u64;
+    for &w in key {
+        h = (h.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
+/// Largest network whose rows fit one word: up to this size states pack
+/// into `⌈n²/64⌉`-word keys and the element regime canonicalizes by
+/// orbit minimum; beyond it the memo keys on IR canonical forms.
+const PACKED_MAX_N: usize = 64;
+
+/// Per-permutation nibble tables for relabeling one-word item sets:
+/// entry `(p, j, x)` is the image under permutation `p` of the items
+/// `4j .. 4j + 4` selected by nibble `x`. A row is relabeled with one
+/// lookup per nibble up to its highest set bit instead of one step per
+/// set bit.
+struct NibbleTables {
+    nibbles: usize,
+    table: Vec<u64>,
+}
+
+impl NibbleTables {
+    fn new(perms: &[Perm], n: usize) -> Self {
+        assert!(n <= PACKED_MAX_N, "nibble tables relabel one-word rows");
+        let nibbles = n.div_ceil(4);
+        let mut table = vec![0u64; perms.len() * nibbles * 16];
+        for (pi, p) in perms.iter().enumerate() {
+            for j in 0..nibbles {
+                for x in 1..16usize {
+                    table[(pi * nibbles + j) * 16 + x] = (0..4)
+                        .filter(|&b| x >> b & 1 == 1 && 4 * j + b < n)
+                        .fold(0, |acc, b| acc | 1u64 << p[4 * j + b]);
+                }
+            }
+        }
+        Self { nibbles, table }
+    }
+
+    /// The image of the item set `row` under element `p` of the list
+    /// the tables were built from.
+    #[inline]
+    fn relabel(&self, p: usize, mut row: u64) -> u64 {
+        let t = &self.table[p * self.nibbles * 16..(p + 1) * self.nibbles * 16];
+        let mut out = 0;
+        let mut j = 0;
+        while row != 0 {
+            out |= t[j + (row & 15) as usize];
+            row >>= 4;
+            j += 16;
+        }
+        out
+    }
+}
+
 /// Shared (immutable) data the per-worker signature engines build on.
 enum SigMode {
-    /// Exact orbit minimum over the full element list, found by an
-    /// early-abort lexicographic scan (most permutations lose within
-    /// the first row).
-    Perms { perms: Vec<Perm>, inv: Vec<Perm> },
+    /// Exact orbit minimum over the full element list (`n ≤ 64`), found
+    /// by an early-abort lexicographic scan (most permutations lose
+    /// within the first row). `inv[p]` maps target rows to source rows;
+    /// items are relabeled through the nibble tables.
+    Perms {
+        inv: Vec<Perm>,
+        tables: NibbleTables,
+    },
     /// Individualization–refinement canonical form of the combined
     /// (adjacency, knowledge) relational structure — exact for groups
-    /// too large to materialize. An isomorphism of the combined
+    /// too large to materialize, and for rows wider than one word. An
+    /// isomorphism of the combined
     /// structure maps the adjacency relation to itself, so two states
     /// share a form iff some automorphism of the graph maps one
     /// knowledge matrix to the other.
     Canonical { graph: Relations, seed: Cells },
 }
 
+impl SigMode {
+    fn canonical(g: &Digraph) -> Self {
+        SigMode::Canonical {
+            graph: Relations::from_digraph(g),
+            seed: distance_seed(g),
+        }
+    }
+
+    /// Fixed word width of every signature this mode produces: the
+    /// packed orbit-minimum image, or the full canonical form.
+    fn key_words(&self, n: usize) -> usize {
+        match self {
+            SigMode::Perms { .. } => packed_words(n),
+            SigMode::Canonical { graph, .. } => (graph.rel_count() + 1) * n * graph.words(),
+        }
+    }
+}
+
+/// Width of the raw (uncanonicalized) state key the front cache uses.
+fn raw_key_words(n: usize) -> usize {
+    if n <= PACKED_MAX_N {
+        packed_words(n)
+    } else {
+        n * n.div_ceil(64)
+    }
+}
+
+/// Writes the raw key of `state` — packed when rows fit one word.
+fn raw_key(state: &Knowledge, out: &mut [u64]) {
+    let n = state.n();
+    if n <= PACKED_MAX_N {
+        pack_rows((0..n).map(|v| state.row(v)[0]), n, out);
+    } else {
+        for (v, dst) in out.chunks_exact_mut(state.words()).enumerate() {
+            dst.copy_from_slice(state.row(v));
+        }
+    }
+}
+
 /// Worker-private signature scratch over a shared [`SigMode`].
 struct SigEngine<'a> {
     mode: &'a SigMode,
+    /// The state's rows (element regime: one word each).
+    rows: Vec<u64>,
+    /// Best relabeled image so far, one word per row.
     best: Vec<u64>,
-    row: Vec<u64>,
+    /// The signature of the last call (`key_words` words).
+    key: Vec<u64>,
     /// Lazily built local copy of the graph relations with the
     /// knowledge slot appended (canonical mode only).
     combined: Option<Relations>,
@@ -450,22 +598,30 @@ struct SigEngine<'a> {
 }
 
 impl<'a> SigEngine<'a> {
-    fn new(mode: &'a SigMode) -> Self {
+    fn new(mode: &'a SigMode, n: usize) -> Self {
         Self {
             mode,
-            best: Vec::new(),
-            row: Vec::new(),
+            rows: vec![0; n],
+            best: vec![0; n],
+            key: vec![0; mode.key_words(n)],
             combined: None,
             flat: Vec::new(),
         }
     }
 
     /// The canonical signature of a knowledge state: equal exactly when
-    /// some automorphism maps one state to the other.
-    fn signature(&mut self, state: &Knowledge, n: usize) -> Vec<u64> {
-        let mode = self.mode;
-        match mode {
-            SigMode::Perms { perms, inv } => self.exact_orbit_min(perms, inv, state, n),
+    /// some automorphism maps one state to the other. Borrowed from the
+    /// engine until the next call.
+    fn signature(&mut self, state: &Knowledge) -> &[u64] {
+        let n = state.n();
+        match self.mode {
+            SigMode::Perms { inv, tables } => {
+                for (v, r) in self.rows.iter_mut().enumerate() {
+                    *r = state.row(v)[0];
+                }
+                exact_orbit_min(inv, tables, &self.rows, &mut self.best);
+                pack_rows(self.best.iter().copied(), n, &mut self.key);
+            }
             SigMode::Canonical { graph, seed } => {
                 let words = graph.words();
                 let combined = self.combined.get_or_insert_with(|| {
@@ -478,141 +634,168 @@ impl<'a> SigEngine<'a> {
                     self.flat.extend_from_slice(state.row(v));
                 }
                 combined.set_rows(1, &self.flat);
-                canonical_form(combined, seed).form
+                self.key = canonical_form(combined, seed).form;
             }
         }
+        &self.key
     }
+}
 
-    /// Minimum over the element list of the relabeled bitset image,
-    /// with both processors and items relabeled. Rows are compared in
-    /// target order as they are built, so a permutation is abandoned at
-    /// the first row that exceeds the best image so far; once a
-    /// permutation is strictly ahead, its remaining rows are copied
-    /// without comparing.
-    fn exact_orbit_min(
-        &mut self,
-        perms: &[Perm],
-        inv: &[Perm],
-        state: &Knowledge,
-        n: usize,
-    ) -> Vec<u64> {
-        let words = state.words();
-        self.best.clear();
-        for v in 0..n {
-            // Identity image first: `perms[0]` is sorted-first, i.e. id.
-            self.best.extend_from_slice(state.row(v));
-        }
-        for (p, pinv) in perms.iter().zip(inv).skip(1) {
-            let mut winning = false;
-            for (i, &src) in pinv.iter().enumerate().take(n) {
-                let v = src as usize;
-                self.row.clear();
-                self.row.resize(words, 0);
-                for (w, &bits) in state.row(v).iter().enumerate() {
-                    let mut bits = bits;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let item = p[w * 64 + b] as usize;
-                        self.row[item / 64] |= 1u64 << (item % 64);
+/// Minimum over the element list of the relabeled image of `rows`, with
+/// both processors and items relabeled, written to `best`. Rows are
+/// compared in target order as they are built, so a permutation is
+/// abandoned at the first row that exceeds the best image so far; once
+/// a permutation is strictly ahead, its remaining rows are copied
+/// without comparing.
+fn exact_orbit_min(inv: &[Perm], tables: &NibbleTables, rows: &[u64], best: &mut [u64]) {
+    // Identity image first: element 0 is sorted-first, i.e. id.
+    best.copy_from_slice(rows);
+    for (p, pinv) in inv.iter().enumerate().skip(1) {
+        for (i, &src) in pinv.iter().enumerate() {
+            let row = tables.relabel(p, rows[src as usize]);
+            match row.cmp(&best[i]) {
+                Ordering::Less => {
+                    best[i] = row;
+                    for (dst, &src) in best[i + 1..].iter_mut().zip(&pinv[i + 1..]) {
+                        *dst = tables.relabel(p, rows[src as usize]);
                     }
+                    break;
                 }
-                let dst = &mut self.best[i * words..(i + 1) * words];
-                if winning {
-                    dst.copy_from_slice(&self.row);
-                    continue;
-                }
-                match self.row[..].cmp(dst) {
-                    Ordering::Less => {
-                        winning = true;
-                        dst.copy_from_slice(&self.row);
-                    }
-                    Ordering::Greater => break,
-                    Ordering::Equal => {}
-                }
+                Ordering::Greater => break,
+                Ordering::Equal => {}
             }
         }
-        self.best.clone()
     }
 }
 
 // ---------------------------------------------------------------------
-// Sharded single-flight memo for relaxation distances.
+// Relaxation distances: a flat sharded memo behind a per-worker cache.
 // ---------------------------------------------------------------------
+
+/// Encoded relaxation distance: `0` = pending (or an empty cache slot),
+/// `1` = never completes, `d + 2` = completes in `d` rounds.
+fn encode(d: Option<u32>) -> u32 {
+    d.map_or(1, |d| d + 2)
+}
+
+fn decode(e: u32) -> Option<usize> {
+    (e != 1).then(|| e as usize - 2)
+}
 
 const MEMO_SHARDS: usize = 16;
 
-/// Encoded relaxation distance in an atomic slot: `0` = pending,
-/// `1` = never completes, `d + 2` = completes in `d` rounds.
-type MemoSlot = std::sync::Arc<AtomicU64>;
+/// One memo shard: signatures in a flat arena of fixed width, indexed by
+/// an open-addressed table of `(entry + 1, encoded distance)` pairs
+/// (entry `0` marks an empty slot) at load factor at most ½.
+struct MemoShard {
+    keys: Vec<u64>,
+    table: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl MemoShard {
+    /// The slot holding `key`, or the empty slot where it belongs.
+    fn find(&self, width: usize, key: &[u64], h: u64) -> usize {
+        let mask = self.table.len() - 1;
+        let mut i = h as usize & mask;
+        loop {
+            match self.table[i].0 {
+                0 => return i,
+                e if self.keys[(e as usize - 1) * width..][..width] == *key => return i,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Doubles the table, rehashing every entry from the arena.
+    fn grow(&mut self, width: usize) {
+        let doubled = vec![(0, 0); self.table.len() * 2];
+        for (e, enc) in std::mem::replace(&mut self.table, doubled) {
+            if e != 0 {
+                let key = &self.keys[(e as usize - 1) * width..][..width];
+                let i = self.find(width, key, hash_words(key));
+                self.table[i] = (e, enc);
+            }
+        }
+    }
+}
 
 /// Canonical signature → relaxation distance, sharded by signature hash
-/// with single-flight computation: the first thread to miss claims the
-/// slot and computes outside the shard lock; concurrent lookups of the
-/// same signature spin on the slot instead of recomputing. The set of
-/// signatures ever queried is a pure function of the visited node set,
-/// so hit/entry counts are thread-count-independent.
-pub(crate) struct SharedMemo {
-    shards: Vec<Mutex<HashMap<Vec<u64>, MemoSlot>>>,
+/// with single-flight computation: the first thread to miss inserts a
+/// pending marker under the shard lock and computes outside it;
+/// concurrent lookups of the same signature re-check the marker instead
+/// of recomputing. A hit borrows the caller's key; a miss copies it into
+/// the shard's arena — no per-entry allocation. The set of signatures
+/// ever queried is a pure function of the visited node set, so hit and
+/// entry counts are thread-count-independent.
+struct SharedMemo {
+    width: usize,
+    shards: Vec<Mutex<MemoShard>>,
 }
 
 impl SharedMemo {
-    pub(crate) fn new() -> Self {
+    fn new(width: usize) -> Self {
         Self {
+            width,
             shards: (0..MEMO_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| {
+                    Mutex::new(MemoShard {
+                        keys: Vec::new(),
+                        table: vec![(0, 0); 16],
+                        len: 0,
+                    })
+                })
                 .collect(),
         }
     }
 
-    fn shard_of(sig: &[u64]) -> usize {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &w in sig {
-            h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    /// The encoded distance of `sig`, computing (and publishing) it with
+    /// `compute` on a miss. Exactly one thread computes any signature.
+    fn distance(&self, sig: &[u64], compute: impl FnOnce() -> Option<u32>) -> u32 {
+        debug_assert_eq!(sig.len(), self.width, "signature width");
+        let w = self.width;
+        let h = hash_words(sig);
+        let shard = &self.shards[(h >> 60) as usize % MEMO_SHARDS];
+        let mut s = shard.lock().expect("memo shard poisoned");
+        match s.table[s.find(w, sig, h)] {
+            (0, _) => {
+                if (s.len + 1) * 2 > s.table.len() {
+                    s.grow(w);
+                }
+                let i = s.find(w, sig, h);
+                s.keys.extend_from_slice(sig);
+                s.len += 1;
+                s.table[i] = (s.len as u32, 0);
+            }
+            (_, 0) => {
+                drop(s);
+                return Self::wait(shard, w, sig, h);
+            }
+            (_, enc) => return enc,
         }
-        (h >> 32) as usize % MEMO_SHARDS
+        drop(s);
+        let enc = encode(compute());
+        let mut s = shard.lock().expect("memo shard poisoned");
+        let i = s.find(w, sig, h);
+        s.table[i].1 = enc;
+        enc
     }
 
-    /// Looks `sig` up, computing (and publishing) with `compute` on a
-    /// miss. Exactly one thread computes any given signature.
-    fn distance(&self, sig: Vec<u64>, compute: impl FnOnce() -> Option<u32>) -> Option<u32> {
-        let shard = &self.shards[Self::shard_of(&sig)];
-        let (slot, owner) = {
-            let mut map = shard.lock().expect("memo shard poisoned");
-            match map.entry(sig) {
-                std::collections::hash_map::Entry::Occupied(e) => (e.get().clone(), false),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let slot = MemoSlot::new(AtomicU64::new(0));
-                    e.insert(slot.clone());
-                    (slot, true)
-                }
+    /// Re-checks a pending marker until its owner publishes.
+    fn wait(shard: &Mutex<MemoShard>, w: usize, sig: &[u64], h: u64) -> u32 {
+        let mut spins = 0u32;
+        loop {
+            spins += 1;
+            if spins < 64 {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
             }
-        };
-        let encoded = if owner {
-            let encoded = match compute() {
-                None => 1,
-                Some(d) => u64::from(d) + 2,
-            };
-            slot.store(encoded, AtomicOrd::Release);
-            encoded
-        } else {
-            let mut spins = 0u32;
-            loop {
-                let v = slot.load(AtomicOrd::Acquire);
-                if v != 0 {
-                    break v;
-                }
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+            let s = shard.lock().expect("memo shard poisoned");
+            let enc = s.table[s.find(w, sig, h)].1;
+            if enc != 0 {
+                return enc;
             }
-        };
-        match encoded {
-            1 => None,
-            d => Some((d - 2) as u32),
         }
     }
 
@@ -620,23 +803,76 @@ impl SharedMemo {
     fn entries(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("memo shard poisoned").len())
+            .map(|s| s.lock().expect("memo shard poisoned").len)
             .sum()
+    }
+}
+
+/// Byte budget of one worker's front cache.
+const FRONT_CACHE_BYTES: usize = 1 << 20;
+
+/// A worker-private, direct-mapped cache in front of the signature:
+/// raw state key → encoded distance. It only ever holds distances the
+/// shared memo already published, so a hit skips the signature and the
+/// memo lookup without changing what either would have answered — or
+/// any counter.
+struct FrontCache {
+    width: usize,
+    mask: usize,
+    keys: Vec<u64>,
+    /// Encoded distance per slot, `0` = empty.
+    vals: Vec<u32>,
+}
+
+impl FrontCache {
+    /// The largest power-of-two slot count within [`FRONT_CACHE_BYTES`].
+    fn new(width: usize) -> Self {
+        let fit = FRONT_CACHE_BYTES / (width * 8 + 4);
+        Self::with_slots(width, 1usize << fit.max(1).ilog2())
+    }
+
+    /// A cache of exactly `slots` (a power of two) slots.
+    pub(crate) fn with_slots(width: usize, slots: usize) -> Self {
+        assert!(slots.is_power_of_two(), "front cache slots");
+        Self {
+            width,
+            mask: slots - 1,
+            keys: vec![0; slots * width],
+            vals: vec![0; slots],
+        }
+    }
+
+    #[inline]
+    fn get(&self, key: &[u64], h: u64) -> Option<u32> {
+        let i = h as usize & self.mask;
+        let enc = self.vals[i];
+        (enc != 0 && self.keys[i * self.width..][..self.width] == *key).then_some(enc)
+    }
+
+    #[inline]
+    fn put(&mut self, key: &[u64], h: u64, enc: u32) {
+        let i = h as usize & self.mask;
+        self.keys[i * self.width..][..self.width].copy_from_slice(key);
+        self.vals[i] = enc;
     }
 }
 
 /// Exact number of all-arcs relaxation rounds `state` needs to reach
 /// completion (`None` when it never completes — then nothing below any
-/// prefix reaching this state ever gossips).
-fn relax_probe(relaxed: &mut CompiledSchedule, state: &Knowledge) -> Option<u32> {
-    let mut k = state.clone();
+/// prefix reaching this state ever gossips), run in the scratch `k`.
+fn relax_probe(
+    relaxed: &mut CompiledSchedule,
+    k: &mut Knowledge,
+    state: &Knowledge,
+) -> Option<u32> {
+    k.copy_from(state);
     let mut cursor = CompletionCursor::new();
     let mut dist = 0u32;
     loop {
-        if cursor.complete(&k) {
+        if cursor.complete(k) {
             break Some(dist);
         }
-        if !relaxed.apply(&mut k, 0) {
+        if !relaxed.apply(k, 0) {
             break None; // fixed point below completion
         }
         dist += 1;
@@ -661,6 +897,8 @@ struct PassShared<'a> {
     /// subtrees that cannot reach it are cut.
     cap: usize,
     max_nodes: usize,
+    /// Front-cache slot count; `None` sizes it to [`FRONT_CACHE_BYTES`].
+    front_slots: Option<usize>,
 }
 
 /// One frontier task: an unexplored subtree rooted at `prefix`.
@@ -670,63 +908,112 @@ struct PassTask {
     stab: Stab,
 }
 
-/// Worker-private mutable resources (compiled schedules carry scratch
-/// buffers, so each worker clones its own set).
+/// Worker-private mutable resources: compiled schedules (they carry
+/// scratch buffers, so each worker clones its own set), the signature
+/// engine, the front cache, and pooled knowledge and stabilizer buffers
+/// — one per live recursion depth plus the finish scratch — so that a
+/// node allocates nothing once the pools are warm.
 struct Ctx<'a> {
     shared: &'a PassShared<'a>,
     compiled: Vec<CompiledSchedule>,
     relaxed: CompiledSchedule,
     sig: SigEngine<'a>,
+    front: FrontCache,
+    /// Raw key of the state being looked up.
+    raw: Vec<u64>,
+    /// Scratch of the relaxation probe.
+    probe: Knowledge,
+    states: Vec<Knowledge>,
+    stabs: Vec<Stab>,
 }
 
 impl<'a> Ctx<'a> {
     fn new(shared: &'a PassShared<'a>) -> Self {
+        let width = raw_key_words(shared.n);
         Self {
             shared,
             compiled: shared.compiled.to_vec(),
             relaxed: shared.relaxed.clone(),
-            sig: SigEngine::new(shared.sig_mode),
+            sig: SigEngine::new(shared.sig_mode, shared.n),
+            front: match shared.front_slots {
+                Some(slots) => FrontCache::with_slots(width, slots),
+                None => FrontCache::new(width),
+            },
+            raw: vec![0; width],
+            probe: Knowledge::initial(shared.n),
+            states: Vec::new(),
+            stabs: Vec::new(),
         }
+    }
+
+    /// A pooled knowledge buffer (contents unspecified).
+    fn take_state(&mut self) -> Knowledge {
+        self.states
+            .pop()
+            .unwrap_or_else(|| Knowledge::initial(self.shared.n))
+    }
+
+    /// A pooled stabilizer buffer (contents unspecified).
+    fn take_stab(&mut self) -> Stab {
+        self.stabs.pop().unwrap_or(Stab::Elements(Vec::new()))
     }
 
     /// Memoized relaxation distance of `state` (counts the lookup).
     fn relax(&mut self, state: &Knowledge, acc: &mut PassAcc) -> Option<usize> {
         acc.memo_lookups += 1;
-        let sig = self.sig.signature(state, self.shared.n);
-        let relaxed = &mut self.relaxed;
-        self.shared
-            .memo
-            .distance(sig, || relax_probe(relaxed, state))
-            .map(|d| d as usize)
+        raw_key(state, &mut self.raw);
+        let h = hash_words(&self.raw);
+        if let Some(enc) = self.front.get(&self.raw, h) {
+            return decode(enc);
+        }
+        let (relaxed, probe) = (&mut self.relaxed, &mut self.probe);
+        let enc = self.shared.memo.distance(self.sig.signature(state), || {
+            relax_probe(relaxed, probe, state)
+        });
+        self.front.put(&self.raw, h, enc);
+        decode(enc)
     }
 
-    /// Exact gossip time of the complete schedule `prefix`, continuing
+    /// Exact gossip time of the complete schedule `order`, continuing
     /// from `state` (the knowledge after its first period). `None` when
-    /// the schedule never completes (periodic fixed point) or cannot
-    /// make the cap.
-    fn finish_schedule(&mut self, prefix: &[usize], state: &Knowledge) -> Option<usize> {
-        let s = self.shared.slots;
-        let mut k = state.clone();
-        let mut cursor = CompletionCursor::new();
-        if cursor.complete(&k) {
-            return Some(s);
+    /// the schedule never completes (periodic fixed point) or not by
+    /// round `limit`.
+    fn finish(&mut self, order: &[usize], state: &Knowledge, limit: usize) -> Option<usize> {
+        let mut k = self.take_state();
+        k.copy_from(state);
+        let found = run_period(&mut self.compiled, order, &mut k, limit);
+        self.states.push(k);
+        found
+    }
+}
+
+/// Runs the period `order` from `k` (the knowledge after its first
+/// period) until completion, a periodic fixed point, or round `limit`.
+fn run_period(
+    compiled: &mut [CompiledSchedule],
+    order: &[usize],
+    k: &mut Knowledge,
+    limit: usize,
+) -> Option<usize> {
+    let mut cursor = CompletionCursor::new();
+    let mut t = order.len();
+    if cursor.complete(k) {
+        return Some(t);
+    }
+    loop {
+        let mut changed = false;
+        for &idx in order {
+            changed |= compiled[idx].apply(k, 0);
+            t += 1;
+            if cursor.complete(k) {
+                return Some(t);
+            }
+            if t >= limit {
+                return None;
+            }
         }
-        let mut t = s;
-        loop {
-            let mut changed = false;
-            for &idx in prefix.iter().take(s) {
-                changed |= self.compiled[idx].apply(&mut k, 0);
-                t += 1;
-                if cursor.complete(&k) {
-                    return Some(t);
-                }
-                if t >= self.shared.cap {
-                    return None;
-                }
-            }
-            if !changed {
-                return None; // periodic fixed point: never completes
-            }
+        if !changed {
+            return None; // periodic fixed point: never completes
         }
     }
 }
@@ -806,6 +1093,8 @@ fn pass_node(
     );
     let slot = prefix.len();
     let symmetric = shared.sym.nontrivial(stab);
+    let mut next = ctx.take_state();
+    let mut child = ctx.take_stab();
     for idx in 0..ctx.compiled.len() {
         // Symmetry breaking at *every* depth: a candidate that some
         // prefix-stabilizing automorphism maps to a smaller round is
@@ -816,7 +1105,7 @@ fn pass_node(
             }
             continue;
         }
-        let mut next = state.clone();
+        next.copy_from(state);
         ctx.compiled[idx].apply(&mut next, 0);
         let t = slot + 1;
         let mut cursor = CompletionCursor::new();
@@ -836,45 +1125,34 @@ fn pass_node(
         // subtree, never on what other workers found — that purity is
         // the determinism argument.
         match ctx.relax(&next, acc) {
-            None => {
+            Some(d) if t + d <= shared.cap => {}
+            _ => {
                 acc.pruned += 1;
                 acc.pruned_per_level[slot] += 1;
                 continue;
             }
-            Some(d) if t + d > shared.cap => {
-                acc.pruned += 1;
-                acc.pruned_per_level[slot] += 1;
-                continue;
-            }
-            Some(_) => {}
         }
+        prefix.push(idx);
         if slot + 1 == shared.slots {
             acc.enumerated += 1;
-            prefix.push(idx);
-            if let Some(found) = ctx.finish_schedule(prefix, &next) {
+            if let Some(found) = ctx.finish(prefix, &next, shared.cap) {
                 acc.consider(found, prefix);
             }
-            prefix.pop();
         } else {
-            let child = shared.sym.child(stab, idx);
+            shared.sym.child(stab, idx, &mut child);
             match spill {
-                Some(queue) => {
-                    let mut p = prefix.clone();
-                    p.push(idx);
-                    queue.push_back(PassTask {
-                        prefix: p,
-                        state: next,
-                        stab: child,
-                    });
-                }
-                None => {
-                    prefix.push(idx);
-                    pass_node(ctx, prefix, &next, &child, acc, spill);
-                    prefix.pop();
-                }
+                Some(queue) => queue.push_back(PassTask {
+                    prefix: prefix.clone(),
+                    state: next.clone(),
+                    stab: child.clone(),
+                }),
+                None => pass_node(ctx, prefix, &next, &child, acc, spill),
             }
         }
+        prefix.pop();
     }
+    ctx.states.push(next);
+    ctx.stabs.push(child);
 }
 
 /// Runs one exhaustive pass under `shared.cap` with `threads` workers:
@@ -998,9 +1276,11 @@ impl IncumbentDfs<'_> {
             shared.max_nodes
         );
         let symmetric = shared.sym.nontrivial(stab);
+        let mut next = self.ctx.take_state();
+        let mut child = self.ctx.take_stab();
         for idx in 0..self.ctx.compiled.len() {
             if self.met_floor {
-                return;
+                break;
             }
             if symmetric && !shared.sym.is_representative(stab, idx) {
                 if slot > 0 {
@@ -1008,7 +1288,7 @@ impl IncumbentDfs<'_> {
                 }
                 continue;
             }
-            let mut next = state.clone();
+            next.copy_from(state);
             self.ctx.compiled[idx].apply(&mut next, 0);
             self.chosen[slot] = idx;
             let t = slot + 1;
@@ -1023,57 +1303,27 @@ impl IncumbentDfs<'_> {
                 .as_ref()
                 .map_or(usize::MAX - 1, |(best, _)| best.saturating_sub(1));
             match self.ctx.relax(&next, &mut self.acc) {
-                None => {
+                Some(d) if t + d <= cap => {}
+                _ => {
                     self.acc.pruned += 1;
                     self.acc.pruned_per_level[slot] += 1;
                     continue;
                 }
-                Some(d) if t + d > cap => {
-                    self.acc.pruned += 1;
-                    self.acc.pruned_per_level[slot] += 1;
-                    continue;
-                }
-                Some(_) => {}
             }
             if slot + 1 == shared.slots {
                 self.acc.enumerated += 1;
-                if let Some(found) = self.finish_capped(&next, cap) {
+                // Against the *current* incumbent horizon rather than a
+                // pass cap.
+                if let Some(found) = self.ctx.finish(&self.chosen, &next, cap + 1) {
                     self.record(found, slot);
                 }
             } else {
-                let child = shared.sym.child(stab, idx);
+                shared.sym.child(stab, idx, &mut child);
                 self.descend(&next, slot + 1, &child);
             }
         }
-    }
-
-    /// [`Ctx::finish_schedule`] against the *current* incumbent horizon
-    /// rather than the pass cap.
-    fn finish_capped(&mut self, state: &Knowledge, cap: usize) -> Option<usize> {
-        let s = self.ctx.shared.slots;
-        let mut k = state.clone();
-        let mut cursor = CompletionCursor::new();
-        if cursor.complete(&k) {
-            return Some(s);
-        }
-        let mut t = s;
-        loop {
-            let mut changed = false;
-            for slot in 0..s {
-                let idx = self.chosen[slot];
-                changed |= self.ctx.compiled[idx].apply(&mut k, 0);
-                t += 1;
-                if cursor.complete(&k) {
-                    return Some(t);
-                }
-                if t > cap {
-                    return None;
-                }
-            }
-            if !changed {
-                return None;
-            }
-        }
+        self.ctx.states.push(next);
+        self.ctx.stabs.push(child);
     }
 
     /// Installs a completing schedule as the incumbent when it improves,
@@ -1174,6 +1424,24 @@ pub fn enumerate_with_group(
     group: &PermGroup,
     cfg: &EnumerateConfig,
 ) -> EnumerateOutcome {
+    enumerate_sized(oracle, net, g, diameter, mode, group, cfg, None)
+}
+
+/// [`enumerate_with_group`] with the workers' front caches sized to
+/// `front_slots` slots (`None`: the [`FRONT_CACHE_BYTES`] budget). The
+/// cache size never changes the outcome, which the tests check by
+/// forcing a single slot.
+#[allow(clippy::too_many_arguments)]
+fn enumerate_sized(
+    oracle: &BoundOracle,
+    net: &Network,
+    g: &Digraph,
+    diameter: Option<u32>,
+    mode: Mode,
+    group: &PermGroup,
+    cfg: &EnumerateConfig,
+    front_slots: Option<usize>,
+) -> EnumerateOutcome {
     assert!(cfg.period >= 2, "enumeration needs a period of at least 2");
     let n = g.vertex_count();
     let s = cfg.period;
@@ -1205,13 +1473,15 @@ pub fn enumerate_with_group(
                 .iter()
                 .map(|p| candidate_action(p, &candidates, &name))
                 .collect();
-            let inv: Vec<Perm> = perms.iter().map(|p| invert(p)).collect();
-            let count = perms.len();
-            (
-                Symmetry::Elements { action },
-                SigMode::Perms { perms, inv },
-                count,
-            )
+            let sig_mode = if n <= PACKED_MAX_N {
+                SigMode::Perms {
+                    inv: perms.iter().map(|p| invert(p)).collect(),
+                    tables: NibbleTables::new(&perms, n),
+                }
+            } else {
+                SigMode::canonical(g)
+            };
+            (Symmetry::Elements { action }, sig_mode, perms.len())
         }
         None => {
             let gen_action: Vec<Perm> = group
@@ -1225,10 +1495,7 @@ pub fn enumerate_with_group(
                 Symmetry::Chain {
                     group: action_group,
                 },
-                SigMode::Canonical {
-                    graph: Relations::from_digraph(g),
-                    seed: distance_seed(g),
-                },
+                SigMode::canonical(g),
                 count,
             )
         }
@@ -1243,7 +1510,7 @@ pub fn enumerate_with_group(
         .map(|r| CompiledSchedule::compile(std::slice::from_ref(r), n))
         .collect();
     let relaxed = CompiledSchedule::compile(std::slice::from_ref(&relaxation_round(g)), n);
-    let memo = SharedMemo::new();
+    let memo = SharedMemo::new(sig_mode.key_words(n));
     let nodes = AtomicUsize::new(0);
 
     let seed_best = best_seed(net, g, mode, s);
@@ -1275,6 +1542,7 @@ pub fn enumerate_with_group(
                 n,
                 cap: *u - 1,
                 max_nodes: cfg.max_nodes,
+                front_slots,
             };
             acc = run_pass(&shared, root_stab, threads);
             match acc.best.take() {
@@ -1305,6 +1573,7 @@ pub fn enumerate_with_group(
                 n,
                 cap: usize::MAX - 1,
                 max_nodes: cfg.max_nodes,
+                front_slots,
             };
             let mut dfs = IncumbentDfs {
                 ctx: Ctx::new(&shared),
@@ -1517,6 +1786,164 @@ mod tests {
         );
         let t = out.best_rounds.expect("K_8 gossips at s = 2");
         assert!(t >= 3, "doubling floor: ⌈log₂ 8⌉ rounds");
+    }
+
+    /// splitmix64: a tiny deterministic generator for randomized cases.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn row_mask(n: usize) -> u64 {
+        if n == 64 {
+            u64::MAX
+        } else {
+            (1u64 << n) - 1
+        }
+    }
+
+    /// Inverse of [`pack_rows`].
+    fn unpack_rows(key: &[u64], n: usize) -> Vec<u64> {
+        (0..n)
+            .map(|v| {
+                let (w, off) = ((v * n) / 64, (v * n) % 64);
+                let mut row = key[w] >> off;
+                if off + n > 64 {
+                    row |= key[w + 1] << (64 - off);
+                }
+                row & row_mask(n)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn packed_keys_round_trip_and_are_injective() {
+        let mut rng = 7u64;
+        for n in [1usize, 7, 8, 9, 16, 63, 64] {
+            let width = packed_words(n);
+            assert_eq!(width, (n * n).div_ceil(64), "n = {n}");
+            for _ in 0..20 {
+                let rows: Vec<u64> = (0..n).map(|_| mix(&mut rng) & row_mask(n)).collect();
+                let mut key = vec![0u64; width];
+                pack_rows(rows.iter().copied(), n, &mut key);
+                assert_eq!(unpack_rows(&key, n), rows, "n = {n} round trip");
+                // Flipping any single bit of the state changes the key.
+                for v in 0..n {
+                    for b in 0..n {
+                        let mut other = rows.clone();
+                        other[v] ^= 1u64 << b;
+                        let mut k2 = vec![0u64; width];
+                        pack_rows(other.iter().copied(), n, &mut k2);
+                        assert_ne!(k2, key, "n = {n}: bit ({v}, {b}) lost");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nibble_relabel_matches_the_bit_loop() {
+        let mut rng = 11u64;
+        for g in [
+            Network::Cycle { n: 8 }.build(),
+            Network::Knodel { delta: 4, n: 16 }.build(),
+            Network::Hypercube { k: 3 }.build(),
+            Network::Torus2d { w: 3, h: 3 }.build(),
+        ] {
+            let n = g.vertex_count();
+            let perms = sg_graphs::group::automorphism_group(&g)
+                .elements_capped(SYMMETRY_ELEMENT_CAP)
+                .expect("small group");
+            let tables = NibbleTables::new(&perms, n);
+            for (pi, p) in perms.iter().enumerate() {
+                for _ in 0..50 {
+                    let row = mix(&mut rng) & row_mask(n);
+                    let mut want = 0u64;
+                    for b in (0..n).filter(|&b| row >> b & 1 == 1) {
+                        want |= 1u64 << p[b];
+                    }
+                    assert_eq!(tables.relabel(pi, row), want, "n = {n}, perm {pi}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_memo_keeps_every_distance_across_growth() {
+        let memo = SharedMemo::new(3);
+        let key = |i: u64| [i, i.wrapping_mul(0x9e37), !i];
+        for i in 0..5000u64 {
+            let enc = memo.distance(&key(i), || (i % 7 != 0).then_some(i as u32));
+            assert_eq!(decode(enc), (i % 7 != 0).then_some(i as usize));
+        }
+        assert_eq!(memo.entries(), 5000);
+        for i in 0..5000u64 {
+            let enc = memo.distance(&key(i), || panic!("hit {i} recomputed"));
+            assert_eq!(decode(enc), (i % 7 != 0).then_some(i as usize));
+        }
+        assert_eq!(memo.entries(), 5000, "hits add no entries");
+    }
+
+    /// The registry's enumeration instances plus the `W(4,16)` theorem
+    /// instance (as in the determinism suite).
+    fn scenario_instances() -> Vec<(Network, Mode, usize)> {
+        vec![
+            (Network::Hypercube { k: 3 }, Mode::FullDuplex, 2),
+            (Network::Cycle { n: 8 }, Mode::FullDuplex, 3),
+            (Network::Cycle { n: 6 }, Mode::Directed, 2),
+            (Network::Path { n: 6 }, Mode::Directed, 3),
+            (Network::Torus2d { w: 3, h: 3 }, Mode::FullDuplex, 3),
+            (Network::Knodel { delta: 3, n: 8 }, Mode::FullDuplex, 3),
+            (Network::DeBruijnDirected { d: 2, dd: 3 }, Mode::Directed, 2),
+            (Network::Knodel { delta: 4, n: 16 }, Mode::FullDuplex, 2),
+        ]
+    }
+
+    #[test]
+    fn a_one_slot_front_cache_changes_nothing() {
+        // One slot: every lookup of a new state collides with and evicts
+        // the previous one, so nearly every lookup falls through to the
+        // signature and the shared memo.
+        for (net, mode, s) in scenario_instances() {
+            let g = net.build();
+            let diameter = sg_graphs::traversal::diameter(&g);
+            let group = sg_graphs::group::automorphism_group(&g);
+            let run = |threads, front_slots| {
+                enumerate_sized(
+                    &BoundOracle::new(),
+                    &net,
+                    &g,
+                    diameter,
+                    mode,
+                    &group,
+                    &EnumerateConfig::default().exact_period(s).threads(threads),
+                    front_slots,
+                )
+            };
+            let base = run(1, None);
+            for threads in [1, 2] {
+                let out = run(threads, Some(1));
+                let name = net.name();
+                assert_eq!(out.best_rounds, base.best_rounds, "{name} s={s}");
+                assert_eq!(out.proven_infeasible, base.proven_infeasible);
+                assert_eq!(out.met_floor, base.met_floor);
+                assert_eq!(out.enumerated, base.enumerated, "{name} s={s}");
+                assert_eq!(out.pruned, base.pruned, "{name} s={s}");
+                assert_eq!(out.pruned_per_level, base.pruned_per_level);
+                assert_eq!(out.stabilizer_pruned, base.stabilizer_pruned);
+                assert_eq!(out.memo_hits, base.memo_hits, "{name} s={s}");
+                assert_eq!(out.memo_entries, base.memo_entries, "{name} s={s}");
+                assert_eq!(out.representatives, base.representatives);
+                assert_eq!(
+                    out.best.as_ref().map(|p| p.period().to_vec()),
+                    base.best.as_ref().map(|p| p.period().to_vec()),
+                    "{name} s={s}: witness"
+                );
+            }
+        }
     }
 
     #[test]

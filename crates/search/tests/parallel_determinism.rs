@@ -10,6 +10,7 @@
 
 use sg_search::reference::enumerate_serial;
 use sg_search::{enumerate, EnumerateConfig};
+use systolic_gossip::sg_graphs::digraph::Arc;
 use systolic_gossip::sg_protocol::mode::Mode;
 use systolic_gossip::sg_protocol::round::Round;
 use systolic_gossip::Network;
@@ -82,6 +83,88 @@ fn thread_budgets_give_identical_outcomes() {
                 fingerprint(&out),
                 want,
                 "{} s={s} must be bit-identical at {threads} threads",
+                net.name()
+            );
+        }
+    }
+}
+
+/// A witness period written as `(from, to)` arcs per round.
+fn witness(rounds: &[&[(u32, u32)]]) -> Option<Vec<Round>> {
+    Some(
+        rounds
+            .iter()
+            .map(|r| Round::new(r.iter().map(|&(from, to)| Arc { from, to }).collect()))
+            .collect(),
+    )
+}
+
+/// The exact counters and witnesses of two instances big enough to
+/// exercise every part of the per-node kernel (memo misses and hits,
+/// stabilizer pruning, deep recursion): the unseeded incumbent descent
+/// on directed `P₇` at `s = 4` and the seeded fixed-cap pass on
+/// half-duplex `C₈` at `s = 3`. A kernel rewrite may change how fast
+/// these numbers come out, never the numbers.
+#[test]
+fn kernel_counters_are_pinned() {
+    let pinned: Vec<(Network, Mode, usize, Fingerprint)> = vec![
+        (
+            Network::Path { n: 7 },
+            Mode::Directed,
+            4,
+            (
+                Some(12),
+                false,
+                false,
+                839_816,
+                0,
+                vec![0, 0, 0, 0],
+                238,
+                849_110,
+                14_707,
+                19,
+                witness(&[
+                    &[(0, 1), (2, 3), (4, 5)],
+                    &[(1, 2), (3, 4), (5, 6)],
+                    &[(2, 1), (4, 3), (6, 5)],
+                    &[(1, 0), (3, 2), (5, 4)],
+                ]),
+            ),
+        ),
+        (
+            Network::Cycle { n: 8 },
+            Mode::HalfDuplex,
+            3,
+            (
+                Some(10),
+                false,
+                false,
+                55_352,
+                0,
+                vec![0, 0, 0],
+                1086,
+                45_387,
+                10_559,
+                8,
+                witness(&[
+                    &[(0, 1), (2, 3), (4, 5), (6, 7)],
+                    &[(1, 2), (3, 4), (5, 6), (7, 0)],
+                    &[(1, 0), (3, 2), (5, 4), (7, 6)],
+                ]),
+            ),
+        ),
+    ];
+    for (net, mode, s, want) in pinned {
+        for threads in [1, 2] {
+            let out = enumerate(
+                &net,
+                mode,
+                &EnumerateConfig::default().exact_period(s).threads(threads),
+            );
+            assert_eq!(
+                fingerprint(&out),
+                want,
+                "{} s={s} at {threads} threads",
                 net.name()
             );
         }

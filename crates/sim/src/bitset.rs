@@ -153,6 +153,22 @@ impl Knowledge {
         buf.copy_from_slice(self.row(v));
     }
 
+    /// Overwrites this state with `other` without allocating — the
+    /// reusable-buffer form of `*self = other.clone()`.
+    ///
+    /// # Panics
+    ///
+    /// When the two states have different sizes.
+    #[inline]
+    pub fn copy_from(&mut self, other: &Knowledge) {
+        assert_eq!(
+            (self.n, self.words),
+            (other.n, other.words),
+            "knowledge size mismatch"
+        );
+        self.bits.copy_from_slice(&other.bits);
+    }
+
     /// `true` when every processor knows every item — gossip complete.
     pub fn all_complete(&self) -> bool {
         (0..self.n).all(|v| self.count(v) == self.n)
@@ -282,6 +298,27 @@ mod tests {
         // Self-absorb is a no-op.
         assert!(!a.absorb_from(5, 5));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn copy_from_equals_clone() {
+        let mut src = Knowledge::initial(70);
+        src.absorb_from(3, 68);
+        src.merge_pair(0, 69);
+        let mut dst = Knowledge::initial(70);
+        dst.copy_from(&src);
+        assert_eq!(dst, src.clone());
+        // Copying over a state that knows more forgets the extra items.
+        let mut busy = Knowledge::initial(70);
+        busy.merge_pair(5, 6);
+        busy.copy_from(&Knowledge::initial(70));
+        assert_eq!(busy, Knowledge::initial(70));
+    }
+
+    #[test]
+    #[should_panic(expected = "knowledge size mismatch")]
+    fn copy_from_rejects_a_size_mismatch() {
+        Knowledge::initial(8).copy_from(&Knowledge::initial(9));
     }
 
     #[test]
