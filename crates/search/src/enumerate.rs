@@ -86,24 +86,33 @@
 //!
 //! # Parallel execution, deterministic results
 //!
-//! Seeded instances (a refitted upper-bound construction completes at
-//! some `U` rounds) run **one exhaustive pass with the fixed cap
-//! `U − 1`**: every schedule that could beat the seed is either
-//! enumerated or cut by a bound that depends only on the subtree, never
-//! on discovery order. The pass fans out over a breadth-first frontier
-//! of subtree tasks claimed from an atomic cursor by scoped workers
-//! (the idiom of `sg-sim`'s work-stealing pool). Each worker owns its
-//! scratch — pooled per-depth knowledge and stabilizer buffers refilled
-//! with [`Knowledge::copy_from`], a signature engine and a ~1 MiB front
+//! Every instance runs **exhaustive passes under a fixed cap**: within a
+//! pass every schedule completing by the cap is either enumerated or cut
+//! by a bound that depends only on the subtree and the cap, never on
+//! discovery order. Seeded instances (a refitted upper-bound
+//! construction completes at some `U` rounds) run one pass at cap
+//! `U − 1`; finding nothing proves the seed optimal. Unseeded instances
+//! deepen the cap from the oracle floor `f` — `f, f + 1, f + 2, f + 4,
+//! …`, by `c ← c + max(1, c − f)` — and stop at the first pass that
+//! records a completion (its minimum is the optimum) or at the first
+//! pass that records nothing and made no cut that depends on the cap
+//! (it behaved exactly like an uncapped pass, which proves
+//! infeasibility). Past `s·n²` rounds no cut depends on the cap — each
+//! period that is not a fixed point adds a bit — so deepening always
+//! stops. The memo and the node budget carry across passes.
+//!
+//! A pass fans out over a breadth-first frontier of subtree tasks
+//! claimed from an atomic cursor by scoped workers (the idiom of
+//! `sg-sim`'s work-stealing pool). Each worker owns its scratch —
+//! pooled per-depth knowledge and stabilizer buffers refilled with
+//! [`Knowledge::copy_from`], a signature engine and a ~1 MiB front
 //! cache — so a node allocates nothing once the pools are warm; workers
 //! share one single-flight memo (a pending marker set under the shard
 //! lock, re-checked by waiters). Because pruning is a pure function of
-//! the node, the set of visited nodes — hence every counter — is
-//! identical at any thread count, and the witness is the
-//! lexicographically least minimum-value completion regardless of which
-//! worker found it. Unseeded instances (no valid completing seed
-//! exists) run the sequential incumbent-tightening descent — already
-//! deterministic — on one thread.
+//! the node and the cap, the set of visited nodes — hence every counter
+//! and the stopping pass — is identical at any thread count, and the
+//! witness is the lexicographically least minimum-value completion
+//! regardless of which worker found it.
 //!
 //! The retired pre-refinement engine survives verbatim as
 //! [`crate::reference::enumerate_serial`]: the differential oracle the
@@ -178,7 +187,9 @@ impl EnumerateConfig {
     }
 }
 
-/// What one exact enumeration established.
+/// What one exact enumeration established. The search counters
+/// (`enumerated`, `pruned`, `pruned_per_level`, `stabilizer_pruned`,
+/// `memo_hits`) sum over every pass the enumeration ran.
 #[derive(Debug, Clone)]
 pub struct EnumerateOutcome {
     /// A witness schedule achieving the optimum, when one exists.
@@ -221,7 +232,8 @@ pub struct EnumerateOutcome {
     pub pruned_per_level: Vec<usize>,
     /// Relaxation sweeps answered by the canonical-signature memo.
     pub memo_hits: usize,
-    /// Distinct canonical knowledge signatures the memo holds.
+    /// Distinct canonical knowledge signatures the memo holds (one memo
+    /// serves every pass).
     pub memo_entries: usize,
     /// `true` when the optimum meets the oracle floor — settled by a
     /// seed protocol without any search, or proved tight by the pass.
@@ -883,14 +895,22 @@ fn relax_probe(
 // The exhaustive pass: fixed cap, frontier fan-out, deterministic merge.
 // ---------------------------------------------------------------------
 
-/// Immutable data one exhaustive pass shares across workers.
-struct PassShared<'a> {
-    compiled: &'a [CompiledSchedule],
-    relaxed: &'a CompiledSchedule,
-    sym: &'a Symmetry,
-    sig_mode: &'a SigMode,
-    memo: &'a SharedMemo,
-    nodes: &'a AtomicUsize,
+/// The instance as every worker of a pass shares it: candidate rounds,
+/// symmetry and signature machinery, and the memo and node budget that
+/// carry across passes. Only `cap` changes between passes.
+struct PassShared {
+    candidates: Vec<Round>,
+    compiled: Vec<CompiledSchedule>,
+    relaxed: CompiledSchedule,
+    sym: Symmetry,
+    sig_mode: SigMode,
+    /// Symmetry permutations materialized (see
+    /// [`EnumerateOutcome::symmetry_perms`]).
+    symmetry_perms: usize,
+    /// The whole group, the stabilizer of the empty prefix.
+    root: Stab,
+    memo: SharedMemo,
+    nodes: AtomicUsize,
     slots: usize,
     n: usize,
     /// Completions are only worth recording at or under this bound, and
@@ -899,6 +919,103 @@ struct PassShared<'a> {
     max_nodes: usize,
     /// Front-cache slot count; `None` sizes it to [`FRONT_CACHE_BYTES`].
     front_slots: Option<usize>,
+}
+
+impl PassShared {
+    /// Prepares `g` for passes at period `cfg.period` (cap `0` until the
+    /// caller sets one).
+    fn new(
+        net: &Network,
+        g: &Digraph,
+        mode: Mode,
+        group: &PermGroup,
+        cfg: &EnumerateConfig,
+        front_slots: Option<usize>,
+    ) -> Self {
+        let n = g.vertex_count();
+        let candidates = maximal_rounds(g, mode);
+        assert!(
+            !candidates.is_empty(),
+            "{}: no valid non-empty round exists",
+            net.name()
+        );
+        assert!(
+            candidates.len() <= cfg.max_round_candidates,
+            "{}: {} candidate rounds exceed the exact-enumeration cap {}",
+            net.name(),
+            candidates.len(),
+            cfg.max_round_candidates
+        );
+
+        // Symmetry + signature machinery: element lists up to the cap,
+        // stabilizer chains and canonical forms beyond it — exact orbit
+        // reasoning either way.
+        let name = net.name();
+        let (sym, sig_mode, symmetry_perms) = match group.elements_capped(SYMMETRY_ELEMENT_CAP) {
+            Some(perms) => {
+                let action: Vec<Vec<u32>> = perms
+                    .iter()
+                    .map(|p| candidate_action(p, &candidates, &name))
+                    .collect();
+                let sig_mode = if n <= PACKED_MAX_N {
+                    SigMode::Perms {
+                        inv: perms.iter().map(|p| invert(p)).collect(),
+                        tables: NibbleTables::new(&perms, n),
+                    }
+                } else {
+                    SigMode::canonical(g)
+                };
+                (Symmetry::Elements { action }, sig_mode, perms.len())
+            }
+            None => {
+                let gen_action: Vec<Perm> = group
+                    .generators()
+                    .iter()
+                    .map(|p| candidate_action(p, &candidates, &name))
+                    .collect();
+                let count = gen_action.len();
+                let action_group = PermGroup::from_generators(candidates.len(), gen_action);
+                (
+                    Symmetry::Chain {
+                        group: action_group,
+                    },
+                    SigMode::canonical(g),
+                    count,
+                )
+            }
+        };
+        let compiled = candidates
+            .iter()
+            .map(|r| CompiledSchedule::compile(std::slice::from_ref(r), n))
+            .collect();
+        Self {
+            compiled,
+            relaxed: CompiledSchedule::compile(std::slice::from_ref(&relaxation_round(g)), n),
+            root: sym.root(),
+            memo: SharedMemo::new(sig_mode.key_words(n)),
+            candidates,
+            sym,
+            sig_mode,
+            symmetry_perms,
+            nodes: AtomicUsize::new(0),
+            slots: cfg.period,
+            n,
+            cap: 0,
+            max_nodes: cfg.max_nodes,
+            front_slots,
+        }
+    }
+
+    /// The period-`slots` schedule choosing the candidates in `prefix`,
+    /// repeating its last round in the slots completion made irrelevant.
+    fn witness(&self, mut prefix: Vec<usize>, mode: Mode) -> SystolicProtocol {
+        let last = *prefix.last().expect("completion fixes a round");
+        prefix.resize(self.slots, last); // any valid round works
+        SystolicProtocol::new(
+            prefix.iter().map(|&i| self.candidates[i].clone()).collect(),
+            mode,
+        )
+    }
 }
 
 /// One frontier task: an unexplored subtree rooted at `prefix`.
@@ -914,7 +1031,7 @@ struct PassTask {
 /// — one per live recursion depth plus the finish scratch — so that a
 /// node allocates nothing once the pools are warm.
 struct Ctx<'a> {
-    shared: &'a PassShared<'a>,
+    shared: &'a PassShared,
     compiled: Vec<CompiledSchedule>,
     relaxed: CompiledSchedule,
     sig: SigEngine<'a>,
@@ -928,13 +1045,13 @@ struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    fn new(shared: &'a PassShared<'a>) -> Self {
+    fn new(shared: &'a PassShared) -> Self {
         let width = raw_key_words(shared.n);
         Self {
             shared,
             compiled: shared.compiled.to_vec(),
             relaxed: shared.relaxed.clone(),
-            sig: SigEngine::new(shared.sig_mode, shared.n),
+            sig: SigEngine::new(&shared.sig_mode, shared.n),
             front: match shared.front_slots {
                 Some(slots) => FrontCache::with_slots(width, slots),
                 None => FrontCache::new(width),
@@ -974,17 +1091,25 @@ impl<'a> Ctx<'a> {
         decode(enc)
     }
 
-    /// Exact gossip time of the complete schedule `order`, continuing
-    /// from `state` (the knowledge after its first period). `None` when
-    /// the schedule never completes (periodic fixed point) or not by
-    /// round `limit`.
-    fn finish(&mut self, order: &[usize], state: &Knowledge, limit: usize) -> Option<usize> {
+    /// How the complete schedule `order` ends, continuing from `state`
+    /// (the knowledge after its first period) up to round `limit`.
+    fn finish(&mut self, order: &[usize], state: &Knowledge, limit: usize) -> PeriodEnd {
         let mut k = self.take_state();
         k.copy_from(state);
-        let found = run_period(&mut self.compiled, order, &mut k, limit);
+        let end = run_period(&mut self.compiled, order, &mut k, limit);
         self.states.push(k);
-        found
+        end
     }
+}
+
+/// How [`run_period`] stopped.
+enum PeriodEnd {
+    /// Gossip completed at this round.
+    Complete(usize),
+    /// A whole period changed nothing: the schedule never completes.
+    FixedPoint,
+    /// Round `limit` passed first — a stop that depends on the cap.
+    Limit,
 }
 
 /// Runs the period `order` from `k` (the knowledge after its first
@@ -994,11 +1119,11 @@ fn run_period(
     order: &[usize],
     k: &mut Knowledge,
     limit: usize,
-) -> Option<usize> {
+) -> PeriodEnd {
     let mut cursor = CompletionCursor::new();
     let mut t = order.len();
     if cursor.complete(k) {
-        return Some(t);
+        return PeriodEnd::Complete(t);
     }
     loop {
         let mut changed = false;
@@ -1006,14 +1131,14 @@ fn run_period(
             changed |= compiled[idx].apply(k, 0);
             t += 1;
             if cursor.complete(k) {
-                return Some(t);
+                return PeriodEnd::Complete(t);
             }
             if t >= limit {
-                return None;
+                return PeriodEnd::Limit;
             }
         }
         if !changed {
-            return None; // periodic fixed point: never completes
+            return PeriodEnd::FixedPoint;
         }
     }
 }
@@ -1029,6 +1154,11 @@ struct PassAcc {
     stabilizer_pruned: usize,
     memo_lookups: usize,
     best: Option<(usize, Vec<usize>)>,
+    /// Some cut or stop depended on the cap: a finite relaxation
+    /// distance past it, a first-period completion above it, or a leaf
+    /// run to it. A pass without one behaves exactly like an uncapped
+    /// pass.
+    capped: bool,
 }
 
 impl PassAcc {
@@ -1040,6 +1170,7 @@ impl PassAcc {
             stabilizer_pruned: 0,
             memo_lookups: 0,
             best: None,
+            capped: false,
         }
     }
 
@@ -1065,6 +1196,7 @@ impl PassAcc {
         }
         self.stabilizer_pruned += other.stabilizer_pruned;
         self.memo_lookups += other.memo_lookups;
+        self.capped |= other.capped;
         if let Some((v, p)) = other.best {
             self.consider(v, &p);
         }
@@ -1117,6 +1249,8 @@ fn pass_node(
                 prefix.push(idx);
                 acc.consider(t, prefix);
                 prefix.pop();
+            } else {
+                acc.capped = true;
             }
             continue;
         }
@@ -1126,7 +1260,8 @@ fn pass_node(
         // the determinism argument.
         match ctx.relax(&next, acc) {
             Some(d) if t + d <= shared.cap => {}
-            _ => {
+            d => {
+                acc.capped |= d.is_some();
                 acc.pruned += 1;
                 acc.pruned_per_level[slot] += 1;
                 continue;
@@ -1135,8 +1270,10 @@ fn pass_node(
         prefix.push(idx);
         if slot + 1 == shared.slots {
             acc.enumerated += 1;
-            if let Some(found) = ctx.finish(prefix, &next, shared.cap) {
-                acc.consider(found, prefix);
+            match ctx.finish(prefix, &next, shared.cap) {
+                PeriodEnd::Complete(found) => acc.consider(found, prefix),
+                PeriodEnd::FixedPoint => {}
+                PeriodEnd::Limit => acc.capped = true,
             }
         } else {
             shared.sym.child(stab, idx, &mut child);
@@ -1160,12 +1297,12 @@ fn pass_node(
 /// cursor until drained. The visited node set is a pure function of the
 /// instance and cap, so the merged counters and the `(value, prefix)`-
 /// minimal completion are identical at any thread count.
-fn run_pass(shared: &PassShared, root_stab: Stab, threads: usize) -> PassAcc {
+fn run_pass(shared: &PassShared, threads: usize) -> PassAcc {
     let mut acc = PassAcc::new(shared.slots);
     let root = PassTask {
         prefix: Vec::new(),
         state: Knowledge::initial(shared.n),
-        stab: root_stab,
+        stab: shared.root.clone(),
     };
     if threads <= 1 {
         let mut ctx = Ctx::new(shared);
@@ -1244,107 +1381,6 @@ fn run_pass(shared: &PassShared, root_stab: Stab, threads: usize) -> PassAcc {
         acc.merge(local);
     }
     acc
-}
-
-// ---------------------------------------------------------------------
-// Sequential incumbent descent for unseeded instances.
-// ---------------------------------------------------------------------
-
-/// The incumbent-tightening depth-first descent, used when no seed
-/// protocol completes (then no sound fixed cap exists up front, and the
-/// feasibility question itself is open). Sequential and deterministic;
-/// the thread budget is ignored on this path.
-struct IncumbentDfs<'a> {
-    ctx: Ctx<'a>,
-    floor: usize,
-    chosen: Vec<usize>,
-    incumbent: Option<(usize, Vec<usize>)>,
-    acc: PassAcc,
-    met_floor: bool,
-}
-
-impl IncumbentDfs<'_> {
-    fn descend(&mut self, state: &Knowledge, slot: usize, stab: &Stab) {
-        if self.met_floor {
-            return;
-        }
-        let shared = self.ctx.shared;
-        let visited = shared.nodes.fetch_add(1, AtomicOrd::Relaxed) + 1;
-        assert!(
-            visited <= shared.max_nodes,
-            "exact enumeration exceeded {} nodes — instance too large",
-            shared.max_nodes
-        );
-        let symmetric = shared.sym.nontrivial(stab);
-        let mut next = self.ctx.take_state();
-        let mut child = self.ctx.take_stab();
-        for idx in 0..self.ctx.compiled.len() {
-            if self.met_floor {
-                break;
-            }
-            if symmetric && !shared.sym.is_representative(stab, idx) {
-                if slot > 0 {
-                    self.acc.stabilizer_pruned += 1;
-                }
-                continue;
-            }
-            next.copy_from(state);
-            self.ctx.compiled[idx].apply(&mut next, 0);
-            self.chosen[slot] = idx;
-            let t = slot + 1;
-            let mut cursor = CompletionCursor::new();
-            if cursor.complete(&next) {
-                self.acc.enumerated += 1;
-                self.record(t, slot);
-                continue;
-            }
-            let cap = self
-                .incumbent
-                .as_ref()
-                .map_or(usize::MAX - 1, |(best, _)| best.saturating_sub(1));
-            match self.ctx.relax(&next, &mut self.acc) {
-                Some(d) if t + d <= cap => {}
-                _ => {
-                    self.acc.pruned += 1;
-                    self.acc.pruned_per_level[slot] += 1;
-                    continue;
-                }
-            }
-            if slot + 1 == shared.slots {
-                self.acc.enumerated += 1;
-                // Against the *current* incumbent horizon rather than a
-                // pass cap.
-                if let Some(found) = self.ctx.finish(&self.chosen, &next, cap + 1) {
-                    self.record(found, slot);
-                }
-            } else {
-                shared.sym.child(stab, idx, &mut child);
-                self.descend(&next, slot + 1, &child);
-            }
-        }
-        self.ctx.states.push(next);
-        self.ctx.stabs.push(child);
-    }
-
-    /// Installs a completing schedule as the incumbent when it improves,
-    /// filling period slots below `filled` arbitrarily (completion
-    /// happened before they matter).
-    fn record(&mut self, found: usize, filled: usize) {
-        let better = self
-            .incumbent
-            .as_ref()
-            .is_none_or(|(best, _)| found < *best);
-        if better {
-            let mut rounds = self.chosen.clone();
-            for r in rounds.iter_mut().skip(filled + 1) {
-                *r = self.chosen[filled]; // any valid round works
-            }
-            self.incumbent = Some((found, rounds));
-            if found <= self.floor {
-                self.met_floor = true;
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1443,171 +1479,42 @@ fn enumerate_sized(
     front_slots: Option<usize>,
 ) -> EnumerateOutcome {
     assert!(cfg.period >= 2, "enumeration needs a period of at least 2");
-    let n = g.vertex_count();
     let s = cfg.period;
     let threads = cfg.threads.max(1);
-    let ob = oracle.bounds_on(net, g, diameter, mode, Period::Systolic(s));
-    let floor = ob.floor_rounds;
-
-    let candidates = maximal_rounds(g, mode);
-    assert!(
-        !candidates.is_empty(),
-        "{}: no valid non-empty round exists",
-        net.name()
-    );
-    assert!(
-        candidates.len() <= cfg.max_round_candidates,
-        "{}: {} candidate rounds exceed the exact-enumeration cap {}",
-        net.name(),
-        candidates.len(),
-        cfg.max_round_candidates
-    );
-
-    // Symmetry + signature machinery: element lists up to the cap,
-    // stabilizer chains and canonical forms beyond it — exact orbit
-    // reasoning either way.
-    let name = net.name();
-    let (sym, sig_mode, symmetry_perms) = match group.elements_capped(SYMMETRY_ELEMENT_CAP) {
-        Some(perms) => {
-            let action: Vec<Vec<u32>> = perms
-                .iter()
-                .map(|p| candidate_action(p, &candidates, &name))
-                .collect();
-            let sig_mode = if n <= PACKED_MAX_N {
-                SigMode::Perms {
-                    inv: perms.iter().map(|p| invert(p)).collect(),
-                    tables: NibbleTables::new(&perms, n),
-                }
-            } else {
-                SigMode::canonical(g)
-            };
-            (Symmetry::Elements { action }, sig_mode, perms.len())
-        }
-        None => {
-            let gen_action: Vec<Perm> = group
-                .generators()
-                .iter()
-                .map(|p| candidate_action(p, &candidates, &name))
-                .collect();
-            let count = gen_action.len();
-            let action_group = PermGroup::from_generators(candidates.len(), gen_action);
-            (
-                Symmetry::Chain {
-                    group: action_group,
-                },
-                SigMode::canonical(g),
-                count,
-            )
-        }
-    };
-    let root_stab = sym.root();
-    let representatives = (0..candidates.len())
-        .filter(|&i| !sym.nontrivial(&root_stab) || sym.is_representative(&root_stab, i))
-        .count();
-
-    let compiled: Vec<CompiledSchedule> = candidates
-        .iter()
-        .map(|r| CompiledSchedule::compile(std::slice::from_ref(r), n))
-        .collect();
-    let relaxed = CompiledSchedule::compile(std::slice::from_ref(&relaxation_round(g)), n);
-    let memo = SharedMemo::new(sig_mode.key_words(n));
-    let nodes = AtomicUsize::new(0);
-
-    let seed_best = best_seed(net, g, mode, s);
+    let floor = oracle
+        .bounds_on(net, g, diameter, mode, Period::Systolic(s))
+        .floor_rounds;
+    let mut shared = PassShared::new(net, g, mode, group, cfg, front_slots);
 
     let mut acc = PassAcc::new(s);
-    let mut met_floor = false;
-    let mut improved_over_seed = false;
-    // (optimum, chosen candidate indices) — the indices empty when the
-    // seed protocol itself is the witness.
-    let settled: Option<(usize, Vec<usize>)>;
-
-    match &seed_best {
-        Some((u, _)) if *u <= floor => {
-            // The seed meets the oracle floor: settled without search.
-            met_floor = true;
-            settled = Some((*u, Vec::new()));
-        }
-        Some((u, _)) => {
-            // One exhaustive pass under the fixed cap U − 1: everything
-            // that could beat the seed is enumerated or soundly cut.
-            let shared = PassShared {
-                compiled: &compiled,
-                relaxed: &relaxed,
-                sym: &sym,
-                sig_mode: &sig_mode,
-                memo: &memo,
-                nodes: &nodes,
-                slots: s,
-                n,
-                cap: *u - 1,
-                max_nodes: cfg.max_nodes,
-                front_slots,
-            };
-            acc = run_pass(&shared, root_stab, threads);
-            match acc.best.take() {
-                Some((t, mut prefix)) => {
-                    let last = *prefix.last().expect("completion fixes a round");
-                    prefix.resize(s, last); // any valid round works
-                    improved_over_seed = true;
-                    met_floor = t <= floor;
-                    settled = Some((t, prefix));
+    let settled = match best_seed(net, g, mode, s) {
+        // The seed meets the oracle floor: settled without search.
+        Some((u, seed)) if u <= floor => Some((u, seed)),
+        seed => {
+            // A seed at U rounds leaves one pass at cap U − 1, and a
+            // pass that finds nothing proves the seed optimal. Without
+            // one, caps deepen from the floor until a pass completes or
+            // makes no cut that depends on its cap.
+            shared.cap = seed.as_ref().map_or(floor, |(u, _)| u - 1);
+            loop {
+                let pass = run_pass(&shared, threads);
+                let capped = pass.capped;
+                acc.merge(pass);
+                if let Some((t, prefix)) = acc.best.take() {
+                    break Some((t, shared.witness(prefix, mode)));
                 }
-                None => {
-                    // Every faster schedule refuted: the seed is optimal.
-                    settled = Some((*u, Vec::new()));
+                if seed.is_some() || !capped {
+                    break seed;
                 }
+                shared.cap += (shared.cap - floor).max(1);
             }
         }
-        None => {
-            // No completing seed: feasibility itself is open, so run the
-            // sequential incumbent-tightening descent.
-            let shared = PassShared {
-                compiled: &compiled,
-                relaxed: &relaxed,
-                sym: &sym,
-                sig_mode: &sig_mode,
-                memo: &memo,
-                nodes: &nodes,
-                slots: s,
-                n,
-                cap: usize::MAX - 1,
-                max_nodes: cfg.max_nodes,
-                front_slots,
-            };
-            let mut dfs = IncumbentDfs {
-                ctx: Ctx::new(&shared),
-                floor,
-                chosen: vec![0; s],
-                incumbent: None,
-                acc: PassAcc::new(s),
-                met_floor: false,
-            };
-            dfs.descend(&Knowledge::initial(n), 0, &root_stab);
-            met_floor = dfs.met_floor;
-            improved_over_seed = dfs.incumbent.is_some();
-            settled = dfs.incumbent.take();
-            acc = dfs.acc;
-        }
-    }
-
-    let (best_rounds, best) = match settled {
-        Some((t, chosen)) => {
-            let proto = if improved_over_seed || seed_best.is_none() {
-                SystolicProtocol::new(
-                    chosen.iter().map(|&i| candidates[i].clone()).collect(),
-                    mode,
-                )
-            } else {
-                seed_best
-                    .as_ref()
-                    .map(|(_, p)| p.clone())
-                    .expect("seed witness")
-            };
-            (Some(t), Some(proto))
-        }
-        None => (None, None),
     };
+    let (best_rounds, best) = settled.unzip();
+    let (sym, root) = (&shared.sym, &shared.root);
+    let representatives = (0..shared.candidates.len())
+        .filter(|&i| !sym.nontrivial(root) || sym.is_representative(root, i))
+        .count();
 
     let certificate = best_rounds.map(|t| {
         let mut cert = certify_with(oracle, net, g, diameter, mode, s, t, best.as_ref());
@@ -1617,7 +1524,7 @@ fn enumerate_sized(
         cert
     });
 
-    let memo_entries = memo.entries();
+    let memo_entries = shared.memo.entries();
     EnumerateOutcome {
         best,
         best_rounds,
@@ -1625,17 +1532,17 @@ fn enumerate_sized(
         proven_infeasible: best_rounds.is_none(),
         enumerated: acc.enumerated,
         pruned: acc.pruned,
-        round_candidates: candidates.len(),
+        round_candidates: shared.candidates.len(),
         representatives,
         automorphisms: usize::try_from(group.order()).unwrap_or(usize::MAX),
         group_order: group.order(),
         chain_depth: group.chain_depth(),
-        symmetry_perms,
+        symmetry_perms: shared.symmetry_perms,
         stabilizer_pruned: acc.stabilizer_pruned,
         pruned_per_level: acc.pruned_per_level,
         memo_hits: acc.memo_lookups - memo_entries,
         memo_entries,
-        met_floor,
+        met_floor: best_rounds.is_some_and(|t| t <= floor),
         threads,
     }
 }
@@ -1887,17 +1794,22 @@ mod tests {
         assert_eq!(memo.entries(), 5000, "hits add no entries");
     }
 
-    /// The registry's enumeration instances plus the `W(4,16)` theorem
-    /// instance (as in the determinism suite).
+    /// Every (network, period) row of the registry's enumeration
+    /// scenarios (as in the determinism suite).
     fn scenario_instances() -> Vec<(Network, Mode, usize)> {
         vec![
             (Network::Hypercube { k: 3 }, Mode::FullDuplex, 2),
             (Network::Cycle { n: 8 }, Mode::FullDuplex, 3),
             (Network::Cycle { n: 6 }, Mode::Directed, 2),
+            (Network::Cycle { n: 6 }, Mode::Directed, 3),
             (Network::Path { n: 6 }, Mode::Directed, 3),
-            (Network::Torus2d { w: 3, h: 3 }, Mode::FullDuplex, 3),
+            (Network::Path { n: 6 }, Mode::Directed, 4),
+            (Network::Knodel { delta: 3, n: 8 }, Mode::FullDuplex, 2),
             (Network::Knodel { delta: 3, n: 8 }, Mode::FullDuplex, 3),
+            (Network::Torus2d { w: 3, h: 3 }, Mode::FullDuplex, 2),
+            (Network::Torus2d { w: 3, h: 3 }, Mode::FullDuplex, 3),
             (Network::DeBruijnDirected { d: 2, dd: 3 }, Mode::Directed, 2),
+            (Network::DeBruijnDirected { d: 2, dd: 3 }, Mode::Directed, 3),
             (Network::Knodel { delta: 4, n: 16 }, Mode::FullDuplex, 2),
         ]
     }
@@ -1947,30 +1859,36 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_never_changes_the_outcome() {
-        let run = |threads| {
-            enumerate(
-                &Network::Cycle { n: 8 },
-                Mode::FullDuplex,
-                &EnumerateConfig::default().exact_period(3).threads(threads),
-            )
-        };
-        let base = run(1);
-        for threads in [2, 8] {
-            let out = run(threads);
-            assert_eq!(out.threads, threads);
-            assert_eq!(out.best_rounds, base.best_rounds, "{threads} threads");
-            assert_eq!(out.enumerated, base.enumerated, "{threads} threads");
-            assert_eq!(out.pruned, base.pruned, "{threads} threads");
-            assert_eq!(out.pruned_per_level, base.pruned_per_level);
-            assert_eq!(out.stabilizer_pruned, base.stabilizer_pruned);
-            assert_eq!(out.memo_entries, base.memo_entries);
-            assert_eq!(out.memo_hits, base.memo_hits);
+    fn deepening_stops_where_one_uncapped_pass_does() {
+        // Past s·n² + s + n no cut can depend on the cap, so one pass
+        // there behaves like an uncapped pass: it must say so, and the
+        // deepened outcome must match its optimum and witness.
+        let mut unseeded = 0;
+        for (net, mode, s) in scenario_instances() {
+            let g = net.build();
+            if best_seed(&net, &g, mode, s).is_some() {
+                continue;
+            }
+            unseeded += 1;
+            let name = net.name();
+            let cfg = EnumerateConfig::default().exact_period(s);
+            let out = enumerate(&net, mode, &cfg);
+            let group = sg_graphs::group::automorphism_group(&g);
+            let mut shared = PassShared::new(&net, &g, mode, &group, &cfg, None);
+            let n = g.vertex_count();
+            shared.cap = s * n * n + s + n;
+            let pass = run_pass(&shared, 1);
+            assert!(!pass.capped, "{name} s={s}: a cut depended on the cap");
+            let uncapped = pass
+                .best
+                .map(|(t, prefix)| (t, shared.witness(prefix, mode).period().to_vec()));
+            assert_eq!(out.proven_infeasible, uncapped.is_none(), "{name} s={s}");
             assert_eq!(
-                out.best.as_ref().map(|p| p.period().to_vec()),
-                base.best.as_ref().map(|p| p.period().to_vec()),
-                "witness identical at {threads} threads"
+                out.best_rounds.zip(out.best.map(|p| p.period().to_vec())),
+                uncapped,
+                "{name} s={s}: optimum and witness"
             );
         }
+        assert_eq!(unseeded, 8, "unseeded registry rows");
     }
 }

@@ -15,18 +15,22 @@ use systolic_gossip::sg_protocol::mode::Mode;
 use systolic_gossip::sg_protocol::round::Round;
 use systolic_gossip::Network;
 
-/// Every enumeration scenario instance (the registry's `enum-*` set
-/// plus the `W(4,16)` theorem instance), hard-coded so a registry edit
-/// cannot silently shrink this suite.
+/// Every (network, period) row of the registry's `enum-*` scenarios,
+/// hard-coded so a registry edit cannot silently shrink this suite.
 fn scenario_instances() -> Vec<(Network, Mode, usize)> {
     vec![
         (Network::Hypercube { k: 3 }, Mode::FullDuplex, 2),
         (Network::Cycle { n: 8 }, Mode::FullDuplex, 3),
         (Network::Cycle { n: 6 }, Mode::Directed, 2),
+        (Network::Cycle { n: 6 }, Mode::Directed, 3),
         (Network::Path { n: 6 }, Mode::Directed, 3),
-        (Network::Torus2d { w: 3, h: 3 }, Mode::FullDuplex, 3),
+        (Network::Path { n: 6 }, Mode::Directed, 4),
+        (Network::Knodel { delta: 3, n: 8 }, Mode::FullDuplex, 2),
         (Network::Knodel { delta: 3, n: 8 }, Mode::FullDuplex, 3),
+        (Network::Torus2d { w: 3, h: 3 }, Mode::FullDuplex, 2),
+        (Network::Torus2d { w: 3, h: 3 }, Mode::FullDuplex, 3),
         (Network::DeBruijnDirected { d: 2, dd: 3 }, Mode::Directed, 2),
+        (Network::DeBruijnDirected { d: 2, dd: 3 }, Mode::Directed, 3),
         (Network::Knodel { delta: 4, n: 16 }, Mode::FullDuplex, 2),
     ]
 }
@@ -99,12 +103,14 @@ fn witness(rounds: &[&[(u32, u32)]]) -> Option<Vec<Round>> {
     )
 }
 
-/// The exact counters and witnesses of two instances big enough to
+/// The exact counters and witnesses of instances big enough to
 /// exercise every part of the per-node kernel (memo misses and hits,
-/// stabilizer pruning, deep recursion): the unseeded incumbent descent
-/// on directed `P₇` at `s = 4` and the seeded fixed-cap pass on
-/// half-duplex `C₈` at `s = 3`. A kernel rewrite may change how fast
-/// these numbers come out, never the numbers.
+/// stabilizer pruning, deep recursion): the seeded single pass on
+/// directed `P₇` at `s = 4` (seed at 14 rounds) and half-duplex `C₈` at
+/// `s = 3`, and the deepened passes on directed `DB(2,3)` at `s = 3`
+/// (floor 3, caps 3, 4, 5, 7, 11; optimum 9) and the infeasible
+/// directed `P₆` at `s = 3`. A kernel rewrite may change how fast these
+/// numbers come out, never the numbers.
 #[test]
 fn kernel_counters_are_pinned() {
     let pinned: Vec<(Network, Mode, usize, Fingerprint)> = vec![
@@ -151,6 +157,46 @@ fn kernel_counters_are_pinned() {
                     &[(1, 2), (3, 4), (5, 6), (7, 0)],
                     &[(1, 0), (3, 2), (5, 4), (7, 6)],
                 ]),
+            ),
+        ),
+        (
+            Network::DeBruijnDirected { d: 2, dd: 3 },
+            Mode::Directed,
+            3,
+            (
+                Some(9),
+                false,
+                false,
+                39_646,
+                19_920,
+                vec![18, 580, 19_322],
+                320,
+                52_358,
+                9020,
+                18,
+                witness(&[
+                    &[(0, 1), (2, 4), (3, 6)],
+                    &[(3, 7), (4, 1), (6, 5)],
+                    &[(1, 3), (4, 0), (5, 2), (7, 6)],
+                ]),
+            ),
+        ),
+        (
+            Network::Path { n: 6 },
+            Mode::Directed,
+            3,
+            (
+                None,
+                true,
+                false,
+                13_871,
+                3422,
+                vec![10, 167, 3245],
+                234,
+                17_419,
+                793,
+                11,
+                None,
             ),
         ),
     ];
