@@ -7,95 +7,90 @@
 //!
 //! The headline ablation pits the four engines against each other on
 //! n ≥ 1024 gossip executions: the retained naive `reference` oracle,
-//! the `compiled` schedule hot path, the persistent work-stealing
-//! `pool` engine, and the run-compressed `sparse` delta engine. A second group,
+//! the `compiled` schedule hot path, the `sliced` 256-item-slice engine
+//! on several threads (what the batch runner runs for a dense gossip
+//! time at n ≥ 2048 given more than one thread), and the run-compressed
+//! `sparse` delta engine. One short run (hypercube, 11 rounds) and two
+//! long ones (de Bruijn colouring, grid traffic light at 127 rounds)
+//! bracket the compiled-versus-sliced choice. A second group,
 //! `sim_large`, records the large-instance driver's production sizes —
 //! up to the n ≈ 10⁶ Knödel gossip point that dense engines cannot
 //! represent (the n × n bit table alone would be 125 GB). Knödel rows
 //! stay interval runs, so those points stay on the sparse engine; the
 //! random 3-regular points hand off to the item-sliced engine.
-//! `SG_BENCH_FAST=1` shrinks sample counts and sizes for CI smoke runs;
-//! `SG_BENCH_ENFORCE_POOL=1` turns the pool-vs-reference speedup on
-//! hypercube n = 2048 into a hard floor (≥ 1.0× or the harness panics).
+//! `SG_BENCH_FAST=1` shrinks sample counts and sizes for CI smoke runs.
+//! The compiled-vs-reference speedup on hypercube n = 2048 is a hard
+//! floor: below 1.0× the harness panics.
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use systolic_gossip::prelude::*;
-use systolic_gossip::sg_sim::pool::PoolEngine;
 use systolic_gossip::sg_sim::reference::systolic_gossip_time_reference;
-use systolic_gossip::sg_sim::sliced::run_systolic_large;
+use systolic_gossip::sg_sim::sliced::{run_systolic_large, run_systolic_sliced};
 use systolic_gossip::sg_sim::sparse::systolic_gossip_time_sparse;
 
 fn fast_mode() -> bool {
     std::env::var("SG_BENCH_FAST").is_ok_and(|v| v == "1")
 }
 
-/// Thread count for the pool-engine entries: one per core, capped —
-/// beyond 8 workers the n ≈ 2048 rows are too few to amortize handoff.
-fn pool_threads() -> usize {
+/// Thread count for the sliced and large-driver entries: one per core,
+/// capped at 8 — an n = 2048 run has only 8 slices.
+fn sim_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(8)
 }
 
-/// The engine ablation: one workload, four engines, identical results —
-/// only the wall time differs. Labels are `engine_ablation/<engine>/<n>`.
+/// The engine ablation: three workloads, four engines each, identical
+/// results — only the wall time differs. Labels are
+/// `engine_ablation/<engine>/<workload>/<n>`.
 fn bench_engine_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_ablation");
     g.sample_size(if fast_mode() { 3 } else { 10 });
 
     // Hypercube sweep, n = 2048: full-duplex dimension rounds, the
-    // snapshot-heavy case (every source is also a target).
+    // snapshot-heavy case (every source is also a target), 11 rounds.
     let k = 11;
-    let n = 1usize << k;
-    let sp = builders::hypercube_sweep(k);
-    let budget = 4 * k;
-    g.bench_with_input(BenchmarkId::new("reference/hypercube", n), &sp, |b, sp| {
-        b.iter(|| black_box(systolic_gossip_time_reference(sp, n, budget)))
-    });
-    g.bench_with_input(BenchmarkId::new("compiled/hypercube", n), &sp, |b, sp| {
-        b.iter(|| black_box(systolic_gossip_time(sp, n, budget)))
-    });
-    // The pool engine's whole point is reuse: built once outside the
-    // timing loop, amortized across every gossip execution — exactly
-    // how the scenario runner drives it.
-    let mut engine = PoolEngine::for_protocol(&sp, n, pool_threads());
-    g.bench_with_input(BenchmarkId::new("pool/hypercube", n), &(), |b, _| {
-        b.iter(|| black_box(engine.gossip_time(budget)))
-    });
-    g.bench_with_input(BenchmarkId::new("sparse/hypercube", n), &sp, |b, sp| {
-        b.iter(|| black_box(systolic_gossip_time_sparse(sp, n, budget)))
-    });
-
+    let hypercube = builders::hypercube_sweep(k);
     // De Bruijn edge-coloring, n = 1024: half-duplex matchings, the
     // snapshot-free case with a long round count.
     let dd = 10;
-    let net = Network::DeBruijn { d: 2, dd };
-    let graph = net.build();
-    let sp = builders::edge_coloring_periodic(&graph);
-    let n = graph.vertex_count();
-    let budget = 200 * dd;
-    g.bench_with_input(BenchmarkId::new("reference/debruijn", n), &sp, |b, sp| {
-        b.iter(|| black_box(systolic_gossip_time_reference(sp, n, budget)))
-    });
-    g.bench_with_input(BenchmarkId::new("compiled/debruijn", n), &sp, |b, sp| {
-        b.iter(|| black_box(systolic_gossip_time(sp, n, budget)))
-    });
-    let mut engine = PoolEngine::for_protocol(&sp, n, pool_threads());
-    g.bench_with_input(BenchmarkId::new("pool/debruijn", n), &(), |b, _| {
-        b.iter(|| black_box(engine.gossip_time(budget)))
-    });
-    g.bench_with_input(BenchmarkId::new("sparse/debruijn", n), &sp, |b, sp| {
-        b.iter(|| black_box(systolic_gossip_time_sparse(sp, n, budget)))
-    });
+    let debruijn = builders::edge_coloring_periodic(&Network::DeBruijn { d: 2, dd }.build());
+    // Grid 64×64 traffic light, n = 4096: 127 rounds, a long dense run
+    // over which the sliced engine's per-call plan is amortised.
+    let side = 64;
+    let grid = builders::grid_traffic_light(side, side);
+    let workloads = [
+        ("hypercube", hypercube, 1usize << k, 4 * k),
+        ("debruijn", debruijn, 1 << dd, 200 * dd),
+        ("grid", grid, side * side, 8 * side),
+    ];
+    let threads = sim_threads();
+    for (name, sp, n, budget) in &workloads {
+        let (n, budget) = (*n, *budget);
+        let id = |engine: &str| BenchmarkId::new(format!("{engine}/{name}"), n);
+        g.bench_with_input(id("reference"), sp, |b, sp| {
+            b.iter(|| black_box(systolic_gossip_time_reference(sp, n, budget)))
+        });
+        g.bench_with_input(id("compiled"), sp, |b, sp| {
+            b.iter(|| black_box(systolic_gossip_time(sp, n, budget)))
+        });
+        // Plan built per call, exactly as the batch runner drives it.
+        g.bench_with_input(id("sliced"), sp, |b, sp| {
+            b.iter(|| black_box(run_systolic_sliced(sp, n, budget, false, threads).completed_at))
+        });
+        g.bench_with_input(id("sparse"), sp, |b, sp| {
+            b.iter(|| black_box(systolic_gossip_time_sparse(sp, n, budget)))
+        });
+    }
     g.finish();
 }
 
 /// The large-instance driver's production sizes: networks whose dense
 /// bit table would not fit in memory. Each entry times one full gossip
-/// execution (protocol construction excluded) on `pool_threads()`
+/// execution (protocol construction excluded) on `sim_threads()`
 /// threads; the headline is the n = 2²⁰ Knödel graph — a
 /// million-vertex gossip measured in seconds. Labels are
 /// `sim_large/<family>/<n>`.
@@ -157,7 +152,7 @@ fn bench_sim_large(c: &mut Criterion) {
         // Generous: every workload either completes or reaches the
         // fixed-point early exit well within this.
         let budget = 64 * sp.s() + 4096;
-        let threads = pool_threads();
+        let threads = sim_threads();
         g.bench_with_input(BenchmarkId::new(family, n), &sp, |b, sp| {
             b.iter(|| {
                 black_box(
@@ -248,11 +243,11 @@ fn write_bench_json(c: &Criterion) -> Vec<(&'static str, &'static str, f64)> {
 
     // Reference-vs-optimized speedups on the n >= 1024 workloads.
     let mut speedups = Vec::new();
-    for workload in ["hypercube/2048", "debruijn/1024"] {
+    for workload in ["hypercube/2048", "debruijn/1024", "grid/4096"] {
         let Some(reference) = median_of(c, &format!("engine_ablation/reference/{workload}")) else {
             continue;
         };
-        for engine in ["compiled", "pool", "sparse"] {
+        for engine in ["compiled", "sliced", "sparse"] {
             if let Some(t) = median_of(c, &format!("engine_ablation/{engine}/{workload}")) {
                 speedups.push((workload, engine, reference as f64 / t.max(1) as f64));
             }
@@ -286,19 +281,16 @@ fn main() {
     }
     let speedups = write_bench_json(&criterion);
 
-    // CI perf floor: with SG_BENCH_ENFORCE_POOL=1 the pool engine must
-    // beat the naive reference on the snapshot-heavy hypercube workload
-    // — the regression the persistent pool exists to prevent.
-    if std::env::var("SG_BENCH_ENFORCE_POOL").is_ok_and(|v| v == "1") {
-        let pool = speedups
-            .iter()
-            .find(|(w, e, _)| *w == "hypercube/2048" && *e == "pool")
-            .map(|(_, _, s)| *s)
-            .expect("enforce: pool hypercube/2048 speedup missing from results");
-        assert!(
-            pool >= 1.0,
-            "pool engine regressed below the reference on hypercube/2048: {pool:.3}x"
-        );
-        println!("enforce: pool vs reference on hypercube/2048 = {pool:.2}x (floor 1.0x) ok");
-    }
+    // Perf floor: the compiled engine, the dense hot path, must beat
+    // the naive reference on the snapshot-heavy hypercube workload.
+    let compiled = speedups
+        .iter()
+        .find(|(w, e, _)| *w == "hypercube/2048" && *e == "compiled")
+        .map(|(_, _, s)| *s)
+        .expect("compiled hypercube/2048 speedup missing from results");
+    assert!(
+        compiled >= 1.0,
+        "compiled engine regressed below the reference on hypercube/2048: {compiled:.3}x"
+    );
+    println!("floor: compiled vs reference on hypercube/2048 = {compiled:.2}x (floor 1.0x) ok");
 }

@@ -69,8 +69,9 @@ USAGE:
 
 OPTIONS:
   --threads N          worker threads (default: one per core, max 16)
-  --sim-threads N      threads per unit: row-parallel simulate/compare,
-                       and the enumerator's exhaustive parallel pass
+  --sim-threads N      threads per unit: item slices of a dense gossip
+                       time at n >= 2048 and of a large simulation, and
+                       the enumerator's exhaustive parallel pass
                        (default: leftover budget once units are assigned;
                        the effective values are echoed in text output)
   --faults P           execute: per-link drop probability in [0, 1)
@@ -715,11 +716,10 @@ fn parse_sweep(args: &[String]) -> Result<Scenario, String> {
 /// The one-line thread echo of text output: the resolved global thread
 /// *budget*, plus the per-unit sim override when one was given.
 ///
-/// Worker-vs-budget convention (see `sg_sim::pool::PoolEngine::new`): a
-/// budget of `t` means the calling thread plus `t - 1` spawned pool
-/// workers. A budget of 1 spawns no workers at all — the batch runs
-/// sequentially on the calling thread — so the echo says exactly that
-/// instead of claiming "1 worker(s)".
+/// Worker-vs-budget convention (see [`BatchOptions::threads`]): a
+/// budget of `t` counts the calling thread, so it means the caller plus
+/// `t - 1` more. A budget of 1 runs the batch sequentially, so the echo
+/// says exactly that instead of claiming "1 worker(s)".
 fn thread_echo(opts: &BatchOptions) -> String {
     let budget = opts.effective_threads();
     let mut echo = if budget <= 1 {
@@ -814,8 +814,7 @@ mod tests {
             sim_threads: flags.sim_threads,
             ..Default::default()
         };
-        // Budget 3 = 2 spawned pool workers + the calling thread
-        // (`PoolEngine::new` spawns `threads - 1`).
+        // Budget 3 = 2 spawned pool workers + the calling thread.
         assert_eq!(
             thread_echo(&opts),
             "threads: 3 (2 pool worker(s) + the calling thread), 2 sim thread(s) per unit"

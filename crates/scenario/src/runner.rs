@@ -4,7 +4,7 @@
 //! one family-table row, one network under the scenario's task, the
 //! matrix figures, or the paper-check set — fans the units out across a
 //! `std::thread::scope` worker pool behind an atomic cursor (the same
-//! claim-by-cursor idiom as `sg_sim::pool`), and reassembles the
+//! claim-by-cursor idiom as `sg_sim::sliced`), and reassembles the
 //! per-unit results into deterministic, scenario-ordered outcomes.
 //! Expensive intermediates (built digraphs, measured diameters, periodic
 //! delay digraphs, protocols, symmetry groups) are shared across all
@@ -25,17 +25,19 @@
 //!
 //! One global thread budget covers both levels of parallelism: when there
 //! are fewer units than budgeted threads, the leftover threads go *into*
-//! the units — simulate and compare units split each round's row writes
-//! across a persistent worker pool (`sg_sim::pool`), so a batch of three
-//! big simulations on a 16-thread budget runs 3 units × 5 row-workers
+//! the units — a dense gossip time at n ≥ 2048 runs the item-sliced
+//! engine's 256-item slices on the unit's share of threads
+//! (`sg_sim::pool::systolic_gossip_time_pool`), so a batch of three big
+//! compare units on a 16-thread budget runs 3 units × 5 slice threads
 //! instead of 3 × 1. Simulate units at large order never materialize the
 //! n²-bit table. They run `sg_sim::sliced::run_systolic_large`, which
 //! picks the engine by memory with no knob: the sparse delta engine
 //! while its row state stays within one 256-item slice's working set
 //! (n · 32 bytes), then, from the first round it does not, a restart on
-//! the item-sliced engine across the unit's thread budget. The five
-//! engines: compiled and pool (dense, below the threshold), sparse and
-//! item-sliced (large), and the `reference` oracle.
+//! the item-sliced engine across the unit's thread budget. The four
+//! engines: compiled (dense), sparse (large), item-sliced (large, and
+//! dense gossip times at n ≥ 2048 on more than one thread), and the
+//! `reference` oracle.
 
 use crate::cache::{BuildCache, CacheStats};
 use crate::descriptor::{PaperCheck, ProtocolKind, Scenario, Task, WeightScheme};
@@ -56,7 +58,7 @@ use sg_protocol::protocol::SystolicProtocol;
 use sg_sim::greedy::greedy_gossip;
 use sg_sim::pool::systolic_gossip_time_pool;
 use sg_sim::sliced::{run_systolic_large, slice_bytes, SLICE_ITEMS};
-use sg_sim::trace::knowledge_curve_pool;
+use sg_sim::trace::knowledge_curve;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use systolic_gossip::{audit_measured, ceil_log2, Network, Row};
@@ -65,15 +67,19 @@ use systolic_gossip::{audit_measured, ceil_log2, Network, Row};
 #[derive(Debug, Clone, Copy)]
 pub struct BatchOptions {
     /// Thread *budget* — the global budget shared by unit-level fan-out
-    /// and within-unit row parallelism (`0` = one per available core,
-    /// capped at 16). Worker-vs-budget convention (see
-    /// `sg_sim::pool::PoolEngine::new`): a budget of `t` means the
-    /// calling thread plus `t - 1` spawned pool workers, so a budget of
-    /// 1 spawns nothing and runs strictly sequentially.
+    /// and within-unit parallelism (`0` = one per available core,
+    /// capped at 16). This is the repo-wide worker-vs-budget convention:
+    /// a budget of `t` allows `t` threads working at once, the calling
+    /// thread counted among them when it works too (the item-sliced
+    /// engine spawns `t - 1` and runs slices on the caller), so a budget
+    /// of 1 runs strictly sequentially. Callers echoing the budget must
+    /// not describe it as a worker count.
     pub threads: usize,
-    /// Row-parallel budget per simulate/compare unit (`0` = derive:
-    /// leftover budget when there are fewer units than threads). Same
-    /// convention: `1` means sequential, no workers.
+    /// Thread budget within one unit (`0` = derive: leftover budget
+    /// when there are fewer units than threads): the item-sliced
+    /// engine's slice threads for dense gossip times and large
+    /// simulations, the enumerator's and annealer's workers. Same
+    /// convention: `1` means sequential, nothing spawned.
     pub sim_threads: usize,
     /// Options for every λ-search / norm evaluation.
     pub bound_opts: BoundOpts,
@@ -117,9 +123,8 @@ impl BatchOptions {
     }
 
     /// Splits the global budget: with `units` work items and `outer`
-    /// unit-level workers, each simulate/compare unit may use
-    /// `budget / outer` threads for row-parallel rounds, so the total
-    /// stays within the budget.
+    /// unit-level workers, each unit may use `budget / outer` threads
+    /// of its own, so the total stays within the budget.
     fn within_unit_threads(&self, units: usize) -> usize {
         if self.sim_threads > 0 {
             return self.sim_threads;
@@ -130,12 +135,18 @@ impl BatchOptions {
     }
 }
 
-/// Below this network size, within-unit row parallelism loses: even
-/// with the persistent pool, a round's row work has to cover one task
-/// dispatch. The pool engine beats the compiled sequential path from
-/// n = 2048 up (BENCH_sim.json engine ablation); smaller units stay on
-/// the sequential compiled hot path, which the pool engine picks
-/// automatically when handed one thread.
+/// Below this network size a dense gossip time stays on the sequential
+/// compiled engine whatever the unit's thread budget; from it up, a
+/// budget above one runs the item-sliced engine on that many threads.
+/// The slice plan (BFS relabelling, per-round arc sort) is a fixed cost
+/// per call, so the sliced engine pays off only on long runs. In
+/// BENCH_sim.json's engine ablation on two threads it loses ~1.6 ms to
+/// compiled on the 11-round hypercube/2048 (2.9 against 1.2 ms), runs
+/// level with it on the 127-round grid/4096 (min 21 against 24 ms,
+/// medians 31 against 25 ms on a noisy 2-CPU host), and a 255-round
+/// 128×128 grid takes ~0.54 s sliced against ~1.35 s compiled. At 2048
+/// a short run loses under 2 ms per unit; no registry scenario has a
+/// dense unit this large, so only ad-hoc sweeps reach the branch.
 const WITHIN_UNIT_PARALLEL_MIN_N: usize = 2048;
 
 /// The default of [`BatchOptions::large_sim_min_n`]: from this order
@@ -397,7 +408,8 @@ impl UnitCx<'_> {
         n >= self.opts.large_sim_min_n
     }
 
-    /// Row-parallel threads for a dense order-`n` simulation.
+    /// Threads for a dense order-`n` gossip time: the unit's share from
+    /// [`WITHIN_UNIT_PARALLEL_MIN_N`] up, one below it.
     fn row_threads(&self, n: usize) -> usize {
         if n >= WITHIN_UNIT_PARALLEL_MIN_N {
             self.sim_threads
@@ -1045,10 +1057,10 @@ fn simulate_unit(net: &Network, cx: &UnitCx) -> NetOut {
     );
     let report = &ob.report;
     // One simulation serves both the completion curve and the audit's
-    // measured gossip time (the engine is deterministic). Big units split
-    // each round's row writes across the persistent worker pool; the
-    // pool engine is bit-identical, so outputs don't depend on it.
-    let curve = knowledge_curve_pool(&sp, n, cx.opts.sim_budget, cx.row_threads(n));
+    // measured gossip time (the engine is deterministic). A curve needs
+    // every vertex's count after every round, so it runs on the
+    // sequential compiled engine.
+    let curve = knowledge_curve(&sp, n, cx.opts.sim_budget);
     let measured = curve.last().filter(|s| s.min == n).map(|s| s.round);
     let audit = audit_measured(net, &g, &sp, &dg, measured, cx.opts.bound_opts);
 
@@ -1264,10 +1276,9 @@ fn compare_unit(net: &Network, cx: &UnitCx) -> NetOut {
     match cx.cache.protocol(net, cx.scenario.mode) {
         Some((kind, sp)) => {
             // 1. Audit the deterministic protocol against every bound,
-            //    measuring the gossip time through the persistent
-            //    worker-pool engine (bit-identical to sequential, shares
-            //    the global thread budget). An invalid protocol is still
-            //    audited, with no measured time.
+            //    measuring the gossip time on the unit's thread budget
+            //    (bit-identical at any budget). An invalid protocol is
+            //    still audited, with no measured time.
             let dg = cx
                 .cache
                 .delay_digraph(net, kind, || DelayDigraph::periodic(&sp));

@@ -161,3 +161,43 @@ fn large_sim_rows_are_identical_across_thread_budgets() {
     assert!(text.contains("item-sliced engine"), "{text}");
     assert!(text.contains("so the run restarted sliced"), "{text}");
 }
+
+/// A dense compare unit at n = 2048, the within-unit threshold: on a
+/// unit budget of two threads its gossip time runs the item-sliced
+/// engine, on one the compiled engine. No registry scenario reaches
+/// this branch, so the registry determinism test cannot cover it; the
+/// rows must be byte-identical (bar `elapsed_ms`) either way. The
+/// full-duplex torus is the cheapest n = 2048 compare unit (~3 s per
+/// run in a debug build).
+#[test]
+fn dense_compare_rows_are_identical_across_unit_thread_budgets() {
+    let net = Network::Torus2d { w: 64, h: 32 };
+    let run = |sim_threads: usize| {
+        let scenario = Scenario {
+            task: Task::Compare,
+            mode: Mode::FullDuplex,
+            ..simulate_scenario(net)
+        };
+        let opts = BatchOptions {
+            threads: 2,
+            sim_threads,
+            ..BatchOptions::default()
+        };
+        let report = run_batch(&[scenario], &opts);
+        report.outcomes[0]
+            .rows
+            .iter()
+            .map(|r| {
+                let mut r = r.clone();
+                r.fields.retain(|(name, _)| name != "elapsed_ms");
+                systolic_gossip::to_json_line(&r)
+            })
+            .collect::<Vec<_>>()
+    };
+    let one = run(1);
+    assert!(
+        one.iter().any(|l| l.contains("\"measured_rounds\":62")),
+        "{one:?}"
+    );
+    assert_eq!(one, run(2));
+}

@@ -103,7 +103,7 @@
 //!
 //! A pass fans out over a breadth-first frontier of subtree tasks
 //! claimed from an atomic cursor by scoped workers (the idiom of
-//! `sg-sim`'s work-stealing pool). Each worker owns its scratch —
+//! `sg-sim`'s item-sliced engine). Each worker owns its scratch —
 //! pooled per-depth knowledge and stabilizer buffers refilled with
 //! [`Knowledge::copy_from`], a signature engine and a ~1 MiB front
 //! cache — so a node allocates nothing once the pools are warm; workers

@@ -23,7 +23,7 @@ use sg_scenario::BuildCache;
 use sg_search::certificate::certify_with;
 use sg_search::driver::{search_with_oracle, SearchConfig};
 use sg_search::enumerate::{enumerate_with_group, EnumerateConfig};
-use sg_sim::pool::systolic_gossip_time_pool;
+use sg_sim::engine::systolic_gossip_time;
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -304,7 +304,7 @@ impl QueryEngine {
                     .with("mode", mode.name())
                     .with("protocol", kind.label())
                     .with("period", sp.period().len());
-                match systolic_gossip_time_pool(&sp, n, budget, 1) {
+                match systolic_gossip_time(&sp, n, budget) {
                     Some(found) => {
                         let cert = certify_with(
                             self.cache.oracle(),
@@ -341,7 +341,7 @@ impl QueryEngine {
                     );
                 };
                 let budget = 40 * n + 200;
-                let optimum = systolic_gossip_time_pool(&sp, n, budget, 1);
+                let optimum = systolic_gossip_time(&sp, n, budget);
                 let report = execute_protocol(
                     &sp,
                     n,

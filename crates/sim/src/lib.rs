@@ -7,31 +7,32 @@
 //!
 //! The hot path is the compiled-schedule engine: [`schedule`] precomputes
 //! each round's arc list, snapshot plan, and reusable buffers once per
-//! systolic period, so replaying a round allocates nothing. [`pool`]
-//! splits each compiled round across a persistent work-stealing worker
-//! pool, and [`sparse`] drops the O(n²)-bit table entirely — rows become
-//! sorted item runs with exact delta propagation (only arcs whose source
-//! changed since their last application are re-applied), which is what
+//! systolic period, so replaying a round allocates nothing. [`sparse`]
+//! drops the O(n²)-bit table entirely — rows become sorted item runs
+//! with exact delta propagation (only arcs whose source changed since
+//! their last application are re-applied), which is what
 //! makes n = 10⁶ structured instances simulable. [`sliced`] covers the
 //! unstructured ones, whose rows do not compress: it replays the period
 //! per 256-item slice in O(n) words per thread, and its
 //! [`sliced::run_systolic_large`] picks between sparse and sliced by
-//! memory. [`random`] adds the oblivious
-//! randomized baselines (push/pull/exchange over the sparse rows,
-//! counter-seeded trials batched across threads). All engines are
+//! memory. Slices share no state, so they are also the one parallel
+//! mechanism for dense instances: [`pool`] runs a gossip time on the
+//! compiled engine for a budget of one thread and on the sliced engine
+//! for more. [`random`] adds the oblivious randomized baselines
+//! (push/pull/exchange over the sparse rows, counter-seeded trials
+//! batched across threads). All engines are
 //! bit-identical to the retained naive oracle in [`mod@reference`],
 //! which the differential conformance suite (`tests/conformance.rs`)
 //! and the property tests enforce. The [`greedy`] module generates
 //! executable upper-bound protocols for networks without hand-built
 //! ones; [`trace`] records completion curves.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod bitset;
 pub mod broadcast;
 pub mod engine;
 pub mod greedy;
-#[allow(unsafe_code)]
 pub mod pool;
 pub mod random;
 pub mod reference;
@@ -47,7 +48,7 @@ pub use engine::{
     systolic_gossip_time, systolic_gossip_time_with_horizon, SimResult, Time,
 };
 pub use greedy::{greedy_gossip, GreedyOutcome};
-pub use pool::{run_systolic_pool, systolic_gossip_time_pool, PoolEngine};
+pub use pool::systolic_gossip_time_pool;
 pub use random::{
     run_randomized, run_trial, summarize, ActivationModel, RandomizedConfig, RandomizedSummary,
     TrialResult,

@@ -184,10 +184,6 @@ impl CompiledSchedule {
         &self.rounds[time % self.rounds.len()]
     }
 
-    pub(crate) fn words(&self) -> usize {
-        self.words
-    }
-
     /// Most snapshot slots any single round needs.
     pub(crate) fn max_slots(&self) -> usize {
         self.max_slots

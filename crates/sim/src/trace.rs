@@ -3,7 +3,6 @@
 //! protocol is from the lower bounds.
 
 use crate::bitset::Knowledge;
-use crate::pool::PoolEngine;
 use crate::schedule::CompiledSchedule;
 use sg_protocol::protocol::SystolicProtocol;
 
@@ -57,31 +56,16 @@ pub fn knowledge_curve(sp: &SystolicProtocol, n: usize, max_rounds: usize) -> Ve
     out
 }
 
-/// [`knowledge_curve`] through the persistent worker-pool engine: the
-/// pool is built once and reused across all rounds, so the per-round
-/// cost is one task dispatch instead of a thread spawn. Bit-identical
-/// output; `threads <= 1` takes the sequential compiled path.
+/// [`knowledge_curve`] under a thread budget, kept for callers that
+/// pass one: a curve needs every vertex's count after every round, so
+/// it always runs the sequential compiled engine and ignores `threads`.
 pub fn knowledge_curve_pool(
     sp: &SystolicProtocol,
     n: usize,
     max_rounds: usize,
-    threads: usize,
+    _threads: usize,
 ) -> Vec<RoundStats> {
-    if threads <= 1 {
-        return knowledge_curve(sp, n, max_rounds);
-    }
-    let mut engine = PoolEngine::for_protocol(sp, n, threads);
-    let mut k = Knowledge::initial(n);
-    let mut out = Vec::new();
-    for i in 0..max_rounds {
-        engine.apply(&mut k, i);
-        let s = stats_after(&k, i + 1);
-        out.push(s);
-        if s.min == n {
-            break;
-        }
-    }
-    out
+    knowledge_curve(sp, n, max_rounds)
 }
 
 #[cfg(test)]

@@ -1,23 +1,22 @@
 //! Differential conformance suite: every protocol of every scenario in
-//! the registry, run through the four production engines — compiled,
-//! persistent pool, sparse delta and item-sliced — against the retained
-//! naive reference, with identical `completed_at` AND identical
-//! knowledge traces required.
+//! the registry, run through the three production engines — compiled,
+//! sparse delta and item-sliced — against the retained naive reference,
+//! with identical `completed_at` AND identical knowledge traces
+//! required.
 //!
 //! The reference engine (`sg_sim::reference`) is the oracle: it is the
 //! original, allocation-heavy, obviously-correct implementation of
 //! Definition 3.1. The production engines each take a different shortcut
-//! (precompiled snapshot plans, persistent work-stealing dispatch,
-//! run-compressed rows with delta skipping, relabelled 256-item slices
-//! with a trace rebuilt from per-thread gain counts), so agreement across
-//! all of them on the whole workload zoo pins the semantics from
-//! independent directions.
+//! (precompiled snapshot plans, run-compressed rows with delta
+//! skipping, relabelled 256-item slices with a trace rebuilt from
+//! per-thread gain counts), so agreement across all of them on the
+//! whole workload zoo pins the semantics from independent directions.
 
 use sg_scenario::descriptor::protocol_for;
 use sg_scenario::registry;
 use sg_sim::engine::{run_systolic, run_systolic_with_horizon};
-use sg_sim::pool::run_systolic_pool;
-use sg_sim::reference::run_systolic_reference;
+use sg_sim::pool::systolic_gossip_time_pool;
+use sg_sim::reference::{run_systolic_reference, systolic_gossip_time_reference};
 use sg_sim::sliced::{run_systolic_large, run_systolic_sliced, slice_bytes};
 use sg_sim::sparse::run_systolic_sparse;
 use sg_sim::{systolic_broadcast_time, Knowledge};
@@ -54,7 +53,6 @@ fn all_registry_protocols_agree_across_engines() {
 
             let oracle = run_systolic_reference(&sp, n, budget, true);
             let compiled = run_systolic(&sp, n, budget, true);
-            let pool = run_systolic_pool(&sp, n, budget, 4, true);
             let sparse = run_systolic_sparse(&sp, n, budget, true);
 
             let label = format!("{} / {} (n = {n})", scenario.name, net.name());
@@ -67,15 +65,10 @@ fn all_registry_protocols_agree_across_engines() {
                 "{label}: compiled completed_at"
             );
             assert_eq!(
-                pool.completed_at, oracle.completed_at,
-                "{label}: pool completed_at"
-            );
-            assert_eq!(
                 sparse.completed_at, oracle.completed_at,
                 "{label}: sparse completed_at"
             );
             assert_eq!(compiled.trace, oracle.trace, "{label}: compiled trace");
-            assert_eq!(pool.trace, oracle.trace, "{label}: pool trace");
             assert_eq!(sparse.trace, oracle.trace, "{label}: sparse trace");
             for threads in [1, 2, 4] {
                 let sliced = run_systolic_sliced(&sp, n, budget, true, threads);
@@ -130,16 +123,12 @@ fn final_knowledge_states_are_bit_identical() {
             let mut oracle = Knowledge::initial(n);
             let mut sched = sg_sim::CompiledSchedule::compile(sp.period(), n);
             let mut compiled = Knowledge::initial(n);
-            let mut pool_engine = sg_sim::PoolEngine::for_protocol(&sp, n, 3);
-            let mut pool = Knowledge::initial(n);
             let mut sparse_engine = sg_sim::SparseEngine::for_protocol(&sp, n);
             for i in 0..6 * sp.s() + 20 {
                 sg_sim::apply_round_reference(&mut oracle, sp.round_at(i));
                 sched.apply(&mut compiled, i);
-                pool_engine.apply(&mut pool, i);
                 sparse_engine.apply(i);
                 assert_eq!(compiled, oracle, "{}: compiled, round {i}", net.name());
-                assert_eq!(pool, oracle, "{}: pool, round {i}", net.name());
                 assert_eq!(
                     sparse_engine.to_dense(),
                     oracle,
@@ -147,6 +136,42 @@ fn final_knowledge_states_are_bit_identical() {
                     net.name()
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn thread_budget_dispatch_matches_reference_on_dense_instances() {
+    // The batch runner's dense gossip time at n ≥ 2048: compiled on one
+    // thread, item-sliced on more. Short runs (Q₁₁'s 11 rounds) and
+    // long ones (DB(2,11)'s edge colouring, a 64×32 traffic-light grid)
+    // must all give the reference's answer at every budget.
+    use systolic_gossip::Network;
+    let db = Network::DeBruijn { d: 2, dd: 11 }.build();
+    let cases = [
+        ("Q11", sg_protocol::builders::hypercube_sweep(11), 2048),
+        (
+            "DB(2,11)",
+            sg_protocol::builders::edge_coloring_periodic(&db),
+            db.vertex_count(),
+        ),
+        (
+            "Grid(64x32)",
+            sg_protocol::builders::grid_traffic_light(64, 32),
+            2048,
+        ),
+    ];
+    for (label, sp, n) in cases {
+        assert!(n >= 2048, "{label}: below the within-unit threshold");
+        let budget = 40 * n;
+        let oracle = systolic_gossip_time_reference(&sp, n, budget);
+        assert!(oracle.is_some(), "{label}: should gossip within {budget}");
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                systolic_gossip_time_pool(&sp, n, budget, threads),
+                oracle,
+                "{label} at {threads} threads"
+            );
         }
     }
 }

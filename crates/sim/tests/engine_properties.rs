@@ -8,7 +8,6 @@ use sg_protocol::protocol::SystolicProtocol;
 use sg_protocol::round::Round;
 use sg_sim::bitset::Knowledge;
 use sg_sim::engine::apply_round;
-use sg_sim::pool::PoolEngine;
 use sg_sim::reference::apply_round_reference;
 use sg_sim::reference::run_systolic_reference;
 use sg_sim::schedule::CompiledSchedule;
@@ -157,66 +156,6 @@ proptest! {
         }
     }
 
-    /// The persistent-pool engine — dispatch gating, snapshot buffer,
-    /// sequential fallback — is bit-for-bit the reference applier on
-    /// arbitrary arc sets (these small wild rounds all take the
-    /// fallback; the fast path is pinned by the permutation test below).
-    #[test]
-    fn pool_matches_reference_on_wild_rounds(
-        period in proptest::collection::vec(wild_arcs_strategy(11), 1..5),
-        cycles in 1usize..6,
-    ) {
-        let n = 11;
-        let rounds: Vec<Round> = period.iter().cloned().map(Round::new).collect();
-        let mut engine = PoolEngine::new(CompiledSchedule::compile(&rounds, n), 4);
-        let mut fast = Knowledge::initial(n);
-        let mut oracle = Knowledge::initial(n);
-        for i in 0..cycles * rounds.len() {
-            let a = engine.apply(&mut fast, i);
-            let b = apply_round_reference(&mut oracle, &rounds[i % rounds.len()]);
-            prop_assert_eq!(a, b, "changed flag diverged at round {}", i);
-            prop_assert_eq!(&fast, &oracle, "state diverged at round {}", i);
-        }
-    }
-
-    /// Permutation rounds (all targets distinct, ≥ 64 arcs) push the
-    /// pool engine onto its parallel dispatch path; it must stay
-    /// bit-identical to the sequential engine for any worker count.
-    #[test]
-    fn pool_fast_path_matches_sequential(
-        perm_seed in 0u64..10_000,
-        threads in 2usize..9,
-        rounds in 1usize..5,
-    ) {
-        let n = 96;
-        let mut perms: Vec<Round> = Vec::new();
-        let mut state = perm_seed;
-        for _ in 0..rounds {
-            let mut targets: Vec<usize> = (0..n).collect();
-            for i in (1..n).rev() {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let j = (state >> 33) as usize % (i + 1);
-                targets.swap(i, j);
-            }
-            let arcs: Vec<Arc> = (0..n)
-                .filter(|&v| targets[v] != v)
-                .map(|v| Arc::new(v, targets[v]))
-                .collect();
-            prop_assert!(arcs.len() >= 64, "permutation with too many fixpoints");
-            perms.push(Round::new(arcs));
-        }
-        let mut engine = PoolEngine::new(CompiledSchedule::compile(&perms, n), threads);
-        let mut pool = Knowledge::initial(n);
-        let mut seq = Knowledge::initial(n);
-        for (i, round) in perms.iter().enumerate() {
-            engine.apply(&mut pool, i);
-            apply_round(&mut seq, round);
-        }
-        prop_assert_eq!(seq, pool);
-    }
-
     /// The sparse delta engine — run-compressed rows, delta fast paths,
     /// full-row retirement — matches the reference applier bit for bit
     /// on arbitrary arc sets over many periods.
@@ -350,89 +289,25 @@ fn chain_with_self_loop_and_duplicate_target_pins_semantics() {
     sched.apply(&mut compiled, 0);
     assert_eq!(compiled, oracle);
 
-    let mut pool_engine = PoolEngine::new(CompiledSchedule::compile(&rounds, n), 4);
-    let mut pool = Knowledge::initial(n);
-    pool_engine.apply(&mut pool, 0);
-    assert_eq!(pool, oracle);
-
     let mut sparse_engine = SparseEngine::new(CompiledSchedule::compile(&rounds, n));
     sparse_engine.apply(0);
     assert_eq!(sparse_engine.to_dense(), oracle);
 
-    // Replaying the same round until saturation keeps all five in step.
+    // Replaying the same round until saturation keeps all four in step.
     for i in 1..8 {
         apply_round_reference(&mut oracle, &round);
         apply_round(&mut one_shot, &round);
         sched.apply(&mut compiled, i);
-        pool_engine.apply(&mut pool, i);
         sparse_engine.apply(i);
         assert_eq!(one_shot, oracle);
         assert_eq!(compiled, oracle);
-        assert_eq!(pool, oracle);
         assert_eq!(sparse_engine.to_dense(), oracle);
     }
-}
 
-/// One wild round over `n` vertices that still reaches the pool's
-/// parallel dispatch most of the time: full-duplex pairs, then arcs from
-/// arbitrary sources (self-loops and sources that are also targets
-/// included) into distinct targets, and — one round in four — a
-/// duplicate target that forces the sequential fallback.
-fn wild_parallel_round(n: usize, state: &mut u64) -> Round {
-    let mut next = |bound: usize| {
-        *state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (*state >> 33) as usize % bound
-    };
-    let mut order: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        order.swap(i, next(i + 1));
-    }
-    let pairs = next(n / 4);
-    let mut arcs = Vec::new();
-    for p in order[..2 * pairs].chunks(2) {
-        arcs.push(Arc::new(p[0], p[1]));
-        arcs.push(Arc::new(p[1], p[0]));
-    }
-    for &to in &order[2 * pairs..] {
-        if next(4) != 0 {
-            arcs.push(Arc::new(next(n), to));
-        }
-    }
-    if next(4) == 0 {
-        arcs.push(Arc::new(next(n), order[0]));
-    }
-    Round::new(arcs)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Stress test of the persistent pool: wild rounds big enough to
-    /// dispatch, replayed over several periods at every thread budget
-    /// from 1 to 8, match the reference applier bit for bit after every
-    /// round. Workers park between the reference's rounds, so the
-    /// publish/park handshake runs thousands of times.
-    #[test]
-    fn pool_matches_reference_on_wild_rounds_at_every_thread_count(
-        seed in 0u64..1_000_000,
-        period_len in 1usize..6,
-    ) {
-        let n = 192;
-        let mut state = seed;
-        let rounds: Vec<Round> =
-            (0..period_len).map(|_| wild_parallel_round(n, &mut state)).collect();
-        for threads in 1..=8 {
-            let mut engine = PoolEngine::new(CompiledSchedule::compile(&rounds, n), threads);
-            let mut pool = Knowledge::initial(n);
-            let mut oracle = Knowledge::initial(n);
-            for i in 0..3 * rounds.len() {
-                let a = engine.apply(&mut pool, i);
-                let b = apply_round_reference(&mut oracle, &rounds[i % rounds.len()]);
-                prop_assert_eq!(a, b, "changed flag diverged at round {} ({} threads)", i, threads);
-                prop_assert_eq!(&pool, &oracle, "state diverged at round {} ({} threads)", i, threads);
-            }
-        }
+    // The sliced engine on the same round, traced to saturation.
+    let sp = SystolicProtocol::new(rounds, Mode::Directed);
+    let oracle = run_systolic_reference(&sp, n, 8, true);
+    for threads in [1, 2, 4] {
+        assert_eq!(run_systolic_sliced(&sp, n, 8, true, threads), oracle);
     }
 }
