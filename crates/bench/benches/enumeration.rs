@@ -2,7 +2,7 @@
 //! third file of the repo's perf trajectory: alongside the stdout report
 //! it serializes every recorded timing — plus the settled optima of the
 //! benchmarked enumerations — into `BENCH_enum.json` at the workspace
-//! root (override with `SG_BENCH_ENUM_JSON`), uploaded by CI next to
+//! root through [`sg_bench::Trajectory`], uploaded by CI next to
 //! `BENCH_sim.json` / `BENCH_search.json`.
 //!
 //! The workload is the registry's settled-theorem table: `Q₃` at `s = 2`
@@ -27,12 +27,10 @@
 //! ≥ 2× edge over the retired baseline.
 
 use criterion::{black_box, BenchmarkId, Criterion};
+use sg_bench::{fast_mode, median_ns, Trajectory};
 use sg_search::{enumerate, EnumerateConfig, Verdict};
 use systolic_gossip::prelude::*;
-
-fn fast_mode() -> bool {
-    std::env::var("SG_BENCH_FAST").is_ok_and(|v| v == "1")
-}
+use systolic_gossip::Row;
 
 /// One settled workload: label, network, mode, period, proven optimum
 /// (`None` = proven infeasible).
@@ -151,61 +149,27 @@ fn bench_thread_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-/// Where the trajectory file goes: the workspace root, next to
-/// `BENCH_sim.json` and `BENCH_search.json`.
-fn json_path() -> std::path::PathBuf {
-    if let Ok(p) = std::env::var("SG_BENCH_ENUM_JSON") {
-        return p.into();
-    }
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_enum.json")
-}
-
 fn write_bench_json(c: &Criterion) {
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut out = String::from("{\n");
-    out.push_str("  \"suite\": \"enumeration\",\n");
-    out.push_str(&format!("  \"fast\": {},\n", fast_mode()));
-    out.push_str(&format!("  \"generated_unix\": {unix_secs},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in c.results().iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"min_ns\": {}, \"median_ns\": {}, \"mean_ns\": {}, \"samples\": {}}}{}\n",
-            r.name,
-            r.min_ns,
-            r.median_ns,
-            r.mean_ns,
-            r.samples,
-            if i + 1 == c.results().len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-
     // The thread-scaling ablation in one digestible block: medians of
     // the three engines plus the speedups the PR claims — the new engine
     // must hold a ≥ 2× median improvement over the retired serial
     // baseline at 8 threads, or the run fails.
-    let median_of = |name: &str| -> u128 {
-        c.results()
-            .iter()
-            .find(|r| r.name == name)
-            .unwrap_or_else(|| panic!("ablation bench {name} missing"))
-            .median_ns
+    let median_of = |engine: &str| -> u128 {
+        let name = format!("enumeration_thread_scaling/torus3x3_fd/{engine}");
+        median_ns(c, &name).unwrap_or_else(|| panic!("ablation bench {name} missing"))
     };
-    let reference = median_of("enumeration_thread_scaling/torus3x3_fd/reference");
-    let t1 = median_of("enumeration_thread_scaling/torus3x3_fd/threads1");
-    let t8 = median_of("enumeration_thread_scaling/torus3x3_fd/threads8");
+    let reference = median_of("reference");
+    let t1 = median_of("threads1");
+    let t8 = median_of("threads8");
     let speedup = |base: u128, new: u128| base as f64 / new.max(1) as f64;
-    out.push_str(&format!(
-        "  \"ablation\": {{\"workload\": \"torus3x3_fd\", \"period\": {}, \
-         \"reference_median_ns\": {reference}, \"t1_median_ns\": {t1}, \"t8_median_ns\": {t8}, \
-         \"speedup_t1_vs_reference\": {:.2}, \"speedup_t8_vs_reference\": {:.2}}},\n",
-        ABLATION.1,
-        speedup(reference, t1),
-        speedup(reference, t8),
-    ));
+    let ablation = Row::new()
+        .with("workload", "torus3x3_fd")
+        .with("period", ABLATION.1)
+        .with("reference_median_ns", reference as usize)
+        .with("t1_median_ns", t1 as usize)
+        .with("t8_median_ns", t8 as usize)
+        .with("speedup_t1_vs_reference", speedup(reference, t1))
+        .with("speedup_t8_vs_reference", speedup(reference, t8));
     assert!(
         speedup(reference, t8) >= 2.0,
         "thread-scaling regression: torus3x3_fd at 8 threads is only {:.2}x \
@@ -227,30 +191,28 @@ fn write_bench_json(c: &Criterion) {
             )
         })
         .collect();
-    out.push_str("  \"enumerations\": [\n");
-    for (i, (label, period, _, o)) in outcomes.iter().enumerate() {
-        let (optimal, floor, verdict) = match (&o.certificate, o.best_rounds) {
-            (Some(c), Some(t)) => (
-                t.to_string(),
-                c.floor_rounds.to_string(),
-                c.verdict.label().to_string(),
-            ),
-            _ => ("null".into(), "null".into(), "infeasible".into()),
-        };
-        out.push_str(&format!(
-            "    {{\"workload\": \"{label}\", \"period\": {period}, \"optimal_rounds\": {optimal}, \
-             \"floor_rounds\": {floor}, \"verdict\": \"{verdict}\", \"enumerated\": {}, \
-             \"pruned\": {}}}{}\n",
-            o.enumerated,
-            o.pruned,
-            if i + 1 == outcomes.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-
-    let path = json_path();
-    std::fs::write(&path, &out).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    println!("\nwrote {}", path.display());
+    let rows = outcomes
+        .iter()
+        .map(|(label, period, _, o)| {
+            let (optimal, floor, verdict) = match (&o.certificate, o.best_rounds) {
+                (Some(c), Some(t)) => (Some(t), Some(c.floor_rounds), c.verdict.label()),
+                _ => (None, None, "infeasible"),
+            };
+            Row::new()
+                .with("workload", *label)
+                .with("period", *period)
+                .with("optimal_rounds", optimal)
+                .with("floor_rounds", floor)
+                .with("verdict", verdict)
+                .with("enumerated", o.enumerated)
+                .with("pruned", o.pruned)
+        })
+        .collect();
+    Trajectory::bench("enumeration")
+        .results(c)
+        .row("ablation", ablation)
+        .rows("enumerations", rows)
+        .save("enum");
     for (label, period, want, o) in &outcomes {
         let verdict = o
             .certificate

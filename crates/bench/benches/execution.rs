@@ -2,8 +2,8 @@
 //! the fourth file of the repo's perf trajectory: alongside the stdout
 //! report it serializes every recorded timing — plus the deterministic
 //! rounds-to-completion of each workload at fault rates 0, 0.01 and
-//! 0.05 — into `BENCH_exec.json` at the workspace root (override with
-//! `SG_BENCH_EXEC_JSON`), uploaded by CI next to `BENCH_sim.json` /
+//! 0.05 — into `BENCH_exec.json` at the workspace root through
+//! [`sg_bench::Trajectory`], uploaded by CI next to `BENCH_sim.json` /
 //! `BENCH_search.json` / `BENCH_enum.json`.
 //!
 //! The workload is four proven-optimal reference schedules — `P₈`,
@@ -16,13 +16,11 @@
 //! settled.
 
 use criterion::{black_box, BenchmarkId, Criterion};
+use sg_bench::{fast_mode, Trajectory};
 use sg_exec::{execute_protocol, DriverConfig, FaultPlan, RunReport};
 use systolic_gossip::prelude::*;
 use systolic_gossip::sg_sim::run_systolic;
-
-fn fast_mode() -> bool {
-    std::env::var("SG_BENCH_FAST").is_ok_and(|v| v == "1")
-}
+use systolic_gossip::Row;
 
 /// The fault seed every recorded point uses: fixed, so the trajectory
 /// compares like with like across commits.
@@ -87,68 +85,37 @@ fn bench_execution(c: &mut Criterion) {
     g.finish();
 }
 
-/// Where the trajectory file goes: the workspace root, next to the
-/// other `BENCH_*.json` files.
-fn json_path() -> std::path::PathBuf {
-    if let Ok(p) = std::env::var("SG_BENCH_EXEC_JSON") {
-        return p.into();
-    }
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_exec.json")
-}
-
 fn write_bench_json(c: &Criterion) {
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut out = String::from("{\n");
-    out.push_str("  \"suite\": \"execution\",\n");
-    out.push_str(&format!("  \"fast\": {},\n", fast_mode()));
-    out.push_str(&format!("  \"fault_seed\": {FAULT_SEED},\n"));
-    out.push_str(&format!("  \"generated_unix\": {unix_secs},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in c.results().iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"min_ns\": {}, \"median_ns\": {}, \"mean_ns\": {}, \"samples\": {}}}{}\n",
-            r.name,
-            r.min_ns,
-            r.median_ns,
-            r.mean_ns,
-            r.samples,
-            if i + 1 == c.results().len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-
     // The deterministic fault sweep: every workload at every drop rate,
     // re-run once each. The trajectory pins *what* the timed machinery
     // computes, and a fault-free divergence from the proven optimum
     // fails the run.
-    let mut points: Vec<(String, usize, usize, f64, RunReport)> = Vec::new();
+    let mut points: Vec<(&str, usize, usize, f64, RunReport)> = Vec::new();
     for (label, net) in workloads() {
         let (n, opt) = optimum(&net);
         for p in DROP_RATES {
-            points.push((label.to_string(), n, opt, p, execute(&net, n, p)));
+            points.push((label, n, opt, p, execute(&net, n, p)));
         }
     }
-    out.push_str("  \"executions\": [\n");
-    for (i, (label, n, opt, p, r)) in points.iter().enumerate() {
-        let rounds = r.completed_at.map_or("null".to_string(), |t| t.to_string());
-        out.push_str(&format!(
-            "    {{\"workload\": \"{label}\", \"n\": {n}, \"drop_prob\": {p}, \
-             \"completed_rounds\": {rounds}, \"optimum_rounds\": {opt}, \
-             \"gossip_sent\": {}, \"dropped\": {}, \"retransmissions\": {}}}{}\n",
-            r.gossip_sent,
-            r.dropped,
-            r.retransmissions,
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-
-    let path = json_path();
-    std::fs::write(&path, &out).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    println!("\nwrote {}", path.display());
+    let rows = points
+        .iter()
+        .map(|&(label, n, opt, p, ref r)| {
+            Row::new()
+                .with("workload", label)
+                .with("n", n)
+                .with("drop_prob", p)
+                .with("completed_rounds", r.completed_at.map(|t| t as usize))
+                .with("optimum_rounds", opt)
+                .with("gossip_sent", r.gossip_sent as usize)
+                .with("dropped", r.dropped as usize)
+                .with("retransmissions", r.retransmissions as usize)
+        })
+        .collect();
+    Trajectory::bench("execution")
+        .scalar("fault_seed", FAULT_SEED as usize)
+        .results(c)
+        .rows("executions", rows)
+        .save("exec");
     for (label, _, opt, p, r) in &points {
         println!(
             "  {label} drop={p}: rounds {:?} (optimum {opt}, dropped {}, retx {})",

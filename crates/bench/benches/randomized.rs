@@ -3,8 +3,8 @@
 //! report it serializes every recorded timing — plus the deterministic
 //! push/pull/exchange comparison table (mean/median/p95/max stopping
 //! times and the ratio to the systolic optimum or lower-bound floor) —
-//! into `BENCH_rand.json` at the workspace root (override with
-//! `SG_BENCH_RAND_JSON`), uploaded by CI next to the other trajectory
+//! into `BENCH_rand.json` at the workspace root through
+//! [`sg_bench::Trajectory`], uploaded by CI next to the other trajectory
 //! files.
 //!
 //! The workload is four topologies spanning the repo's yardstick
@@ -20,6 +20,7 @@
 //! must stay settled.
 
 use criterion::{black_box, BenchmarkId, Criterion};
+use sg_bench::{fast_mode, Trajectory};
 use systolic_gossip::ceil_log2;
 use systolic_gossip::prelude::*;
 use systolic_gossip::sg_graphs::traversal::diameter;
@@ -27,10 +28,7 @@ use systolic_gossip::sg_sim::random::{
     run_randomized, summarize, ActivationModel, RandomizedConfig, RandomizedSummary,
 };
 use systolic_gossip::sg_sim::run_systolic;
-
-fn fast_mode() -> bool {
-    std::env::var("SG_BENCH_FAST").is_ok_and(|v| v == "1")
-}
+use systolic_gossip::Row;
 
 /// The master seed every recorded point uses: fixed, so the trajectory
 /// compares like with like across commits.
@@ -140,39 +138,7 @@ fn bench_randomized(c: &mut Criterion) {
     group.finish();
 }
 
-/// Where the trajectory file goes: the workspace root, next to the
-/// other `BENCH_*.json` files.
-fn json_path() -> std::path::PathBuf {
-    if let Ok(p) = std::env::var("SG_BENCH_RAND_JSON") {
-        return p.into();
-    }
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_rand.json")
-}
-
 fn write_bench_json(c: &Criterion) {
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut out = String::from("{\n");
-    out.push_str("  \"suite\": \"randomized\",\n");
-    out.push_str(&format!("  \"fast\": {},\n", fast_mode()));
-    out.push_str(&format!("  \"seed\": {RAND_SEED},\n"));
-    out.push_str(&format!("  \"generated_unix\": {unix_secs},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in c.results().iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"min_ns\": {}, \"median_ns\": {}, \"mean_ns\": {}, \"samples\": {}}}{}\n",
-            r.name,
-            r.min_ns,
-            r.median_ns,
-            r.mean_ns,
-            r.samples,
-            if i + 1 == c.results().len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-
     // The deterministic comparison table: every workload × activation
     // model, with the ratio to the exact systolic optimum (small n) or
     // the universal floor (the n = 10⁵ point). The trajectory pins
@@ -205,42 +171,30 @@ fn write_bench_json(c: &Criterion) {
             });
         }
     }
-    out.push_str("  \"comparison\": [\n");
-    for (
-        i,
-        CompRow {
-            label,
-            n,
-            model,
-            trials,
-            optimum,
-            floor,
-            s,
-        },
-    ) in rows.iter().enumerate()
-    {
-        let denominator = optimum.map_or(*floor as f64, |t| t as f64);
-        out.push_str(&format!(
-            "    {{\"workload\": \"{label}\", \"n\": {n}, \"model\": \"{model}\", \
-             \"trials\": {trials}, \"completed\": {}, \"mean_rounds\": {:.2}, \
-             \"median_rounds\": {}, \"p95_rounds\": {}, \"max_rounds\": {}, \
-             \"optimum_rounds\": {}, \"floor_rounds\": {floor}, \
-             \"ratio_to_optimum\": {:.3}}}{}\n",
-            s.completed,
-            s.mean,
-            s.median,
-            s.p95,
-            s.max,
-            optimum.map_or("null".to_string(), |t| t.to_string()),
-            s.mean / denominator,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-
-    let path = json_path();
-    std::fs::write(&path, &out).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    println!("\nwrote {}", path.display());
+    let comparison = rows
+        .iter()
+        .map(|r| {
+            let denominator = r.optimum.unwrap_or(r.floor) as f64;
+            Row::new()
+                .with("workload", r.label)
+                .with("n", r.n)
+                .with("model", r.model)
+                .with("trials", r.trials)
+                .with("completed", r.s.completed)
+                .with("mean_rounds", r.s.mean)
+                .with("median_rounds", r.s.median)
+                .with("p95_rounds", r.s.p95)
+                .with("max_rounds", r.s.max)
+                .with("optimum_rounds", r.optimum)
+                .with("floor_rounds", r.floor)
+                .with("ratio_to_optimum", r.s.mean / denominator)
+        })
+        .collect();
+    Trajectory::bench("randomized")
+        .scalar("seed", RAND_SEED as usize)
+        .results(c)
+        .rows("comparison", comparison)
+        .save("rand");
     for CompRow {
         label,
         model,

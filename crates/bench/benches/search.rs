@@ -2,8 +2,8 @@
 //! second file of the repo's perf trajectory: alongside the stdout
 //! report it serializes every recorded timing — plus the certificate of
 //! the benchmarked search — into `BENCH_search.json` at the workspace
-//! root (override with `SG_BENCH_SEARCH_JSON`), so the synthesis path
-//! is diffable run-over-run just like the simulation hot path.
+//! root through [`sg_bench::Trajectory`], so the synthesis path is
+//! diffable run-over-run just like the simulation hot path.
 //!
 //! The workload is the fixed-seed tiny search CI smokes on: `P_8` in
 //! full-duplex mode at exact periods 2 and 4 (both certify `Optimal`
@@ -11,12 +11,10 @@
 //! search. `SG_BENCH_FAST=1` shrinks sample counts for CI.
 
 use criterion::{black_box, BenchmarkId, Criterion};
+use sg_bench::{fast_mode, Trajectory};
 use sg_search::{search, SearchConfig, Verdict};
 use systolic_gossip::prelude::*;
-
-fn fast_mode() -> bool {
-    std::env::var("SG_BENCH_FAST").is_ok_and(|v| v == "1")
-}
+use systolic_gossip::Row;
 
 /// The benchmarked configuration: fixed seed, single thread (so the
 /// numbers measure the annealer, not the scheduler), modest effort.
@@ -53,66 +51,33 @@ fn bench_search(c: &mut Criterion) {
     g.finish();
 }
 
-/// Where the trajectory file goes: the workspace root, next to
-/// `BENCH_sim.json`.
-fn json_path() -> std::path::PathBuf {
-    if let Ok(p) = std::env::var("SG_BENCH_SEARCH_JSON") {
-        return p.into();
-    }
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_search.json")
-}
-
 fn write_bench_json(c: &Criterion) {
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut out = String::from("{\n");
-    out.push_str("  \"suite\": \"search\",\n");
-    out.push_str(&format!("  \"fast\": {},\n", fast_mode()));
-    out.push_str(&format!("  \"generated_unix\": {unix_secs},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in c.results().iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"min_ns\": {}, \"median_ns\": {}, \"mean_ns\": {}, \"samples\": {}}}{}\n",
-            r.name,
-            r.min_ns,
-            r.median_ns,
-            r.mean_ns,
-            r.samples,
-            if i + 1 == c.results().len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-
     // The benchmarked searches' outcomes, re-run once each: the perf
     // trajectory also pins *what* the timed work produced.
     let outcomes: Vec<(&str, usize, sg_search::SearchOutcome)> = workloads()
         .into_iter()
         .map(|(label, net, period)| (label, period, search(&net, Mode::FullDuplex, &cfg(period))))
         .collect();
-    out.push_str("  \"searches\": [\n");
-    for (i, (label, period, o)) in outcomes.iter().enumerate() {
-        let (found, floor, verdict) = match (&o.certificate, o.best_rounds) {
-            (Some(c), Some(t)) => (
-                t.to_string(),
-                c.floor_rounds.to_string(),
-                c.verdict.label().to_string(),
-            ),
-            _ => ("null".into(), "null".into(), "incomplete".into()),
-        };
-        out.push_str(&format!(
-            "    {{\"workload\": \"{label}\", \"period\": {period}, \"found_rounds\": {found}, \
-             \"floor_rounds\": {floor}, \"verdict\": \"{verdict}\", \"evaluations\": {}}}{}\n",
-            o.evaluations,
-            if i + 1 == outcomes.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-
-    let path = json_path();
-    std::fs::write(&path, &out).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    println!("\nwrote {}", path.display());
+    let rows = outcomes
+        .iter()
+        .map(|(label, period, o)| {
+            let (found, floor, verdict) = match (&o.certificate, o.best_rounds) {
+                (Some(c), Some(t)) => (Some(t), Some(c.floor_rounds), c.verdict.label()),
+                _ => (None, None, "incomplete"),
+            };
+            Row::new()
+                .with("workload", *label)
+                .with("period", *period)
+                .with("found_rounds", found)
+                .with("floor_rounds", floor)
+                .with("verdict", verdict)
+                .with("evaluations", o.evaluations)
+        })
+        .collect();
+    Trajectory::bench("search")
+        .results(c)
+        .rows("searches", rows)
+        .save("search");
     for (label, period, o) in &outcomes {
         let verdict = o
             .certificate

@@ -2,8 +2,8 @@
 //! the repo's perf trajectory: alongside the usual stdout report this
 //! harness serializes every recorded timing — plus
 //! reference-vs-optimized speedups — into `BENCH_sim.json` at the
-//! workspace root (override with `SG_BENCH_JSON`), so regressions in the
-//! simulation hot path become diffable.
+//! workspace root through [`sg_bench::Trajectory`], so regressions in
+//! the simulation hot path become diffable.
 //!
 //! The headline ablation pits the four engines against each other on
 //! n ≥ 1024 gossip executions: the retained naive `reference` oracle,
@@ -25,14 +25,12 @@
 use criterion::{black_box, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sg_bench::{fast_mode, median_ns, Trajectory};
 use systolic_gossip::prelude::*;
 use systolic_gossip::sg_sim::reference::systolic_gossip_time_reference;
 use systolic_gossip::sg_sim::sliced::{run_systolic_large, run_systolic_sliced};
 use systolic_gossip::sg_sim::sparse::systolic_gossip_time_sparse;
-
-fn fast_mode() -> bool {
-    std::env::var("SG_BENCH_FAST").is_ok_and(|v| v == "1")
-}
+use systolic_gossip::Row;
 
 /// Thread count for the sliced and large-driver entries: one per core,
 /// capped at 8 — an n = 2048 run has only 8 slices.
@@ -202,69 +200,33 @@ fn bench_greedy(c: &mut Criterion) {
     g.finish();
 }
 
-/// Where the trajectory file goes: the workspace root, next to
-/// `Cargo.lock` (cargo runs benches with the package dir as CWD).
-fn json_path() -> std::path::PathBuf {
-    if let Ok(p) = std::env::var("SG_BENCH_JSON") {
-        return p.into();
-    }
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sim.json")
-}
-
-fn median_of(c: &Criterion, name: &str) -> Option<u128> {
-    c.results()
-        .iter()
-        .find(|r| r.name == name)
-        .map(|r| r.median_ns)
-}
-
 fn write_bench_json(c: &Criterion) -> Vec<(&'static str, &'static str, f64)> {
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut out = String::from("{\n");
-    out.push_str("  \"suite\": \"sim\",\n");
-    out.push_str(&format!("  \"fast\": {},\n", fast_mode()));
-    out.push_str(&format!("  \"generated_unix\": {unix_secs},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in c.results().iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"min_ns\": {}, \"median_ns\": {}, \"mean_ns\": {}, \"samples\": {}}}{}\n",
-            r.name,
-            r.min_ns,
-            r.median_ns,
-            r.mean_ns,
-            r.samples,
-            if i + 1 == c.results().len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-
     // Reference-vs-optimized speedups on the n >= 1024 workloads.
     let mut speedups = Vec::new();
     for workload in ["hypercube/2048", "debruijn/1024", "grid/4096"] {
-        let Some(reference) = median_of(c, &format!("engine_ablation/reference/{workload}")) else {
+        let Some(reference) = median_ns(c, &format!("engine_ablation/reference/{workload}")) else {
             continue;
         };
         for engine in ["compiled", "sliced", "sparse"] {
-            if let Some(t) = median_of(c, &format!("engine_ablation/{engine}/{workload}")) {
+            if let Some(t) = median_ns(c, &format!("engine_ablation/{engine}/{workload}")) {
                 speedups.push((workload, engine, reference as f64 / t.max(1) as f64));
             }
         }
     }
-    out.push_str("  \"speedups\": [\n");
-    for (i, (workload, engine, s)) in speedups.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{workload}\", \"baseline\": \"reference\", \"engine\": \"{engine}\", \"speedup_median\": {s:.3}}}{}\n",
-            if i + 1 == speedups.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-
-    let path = json_path();
-    std::fs::write(&path, &out).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    println!("\nwrote {}", path.display());
+    let rows = speedups
+        .iter()
+        .map(|&(workload, engine, s)| {
+            Row::new()
+                .with("workload", workload)
+                .with("baseline", "reference")
+                .with("engine", engine)
+                .with("speedup_median", s)
+        })
+        .collect();
+    Trajectory::bench("sim")
+        .results(c)
+        .rows("speedups", rows)
+        .save("sim");
     for (workload, engine, s) in &speedups {
         println!("  {engine:>9} vs reference on {workload}: {s:.2}x");
     }

@@ -14,6 +14,7 @@
 //! Exits nonzero on any non-shed error reply, a failed drain, or a
 //! single-flight violation (more computes than distinct queries).
 
+use sg_bench::{bench_json_path, Trajectory};
 use sg_serve::json::{self, Json};
 use sg_serve::server::{Server, ServerConfig};
 use sg_serve::Client;
@@ -72,12 +73,7 @@ fn parse_opts() -> Opts {
         connections: 1000,
         queries: 6,
         max_inflight: 4096,
-        out: match std::env::var("SG_BENCH_SERVE_JSON") {
-            Ok(p) => p.into(),
-            Err(_) => {
-                std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json")
-            }
-        },
+        out: bench_json_path("serve"),
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -259,32 +255,30 @@ fn main() {
         None => true,
     };
 
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let json_out = format!(
-        "{{\n  \"suite\": \"serve\",\n  \"generated_unix\": {unix_secs},\n  \
-         \"connections\": {},\n  \"queries_per_connection\": {},\n  \
-         \"total_queries\": {},\n  \"answered\": {answered},\n  \"errors\": {errors},\n  \
-         \"shed\": {shed},\n  \"io_failures\": {io_failures},\n  \
-         \"elapsed_ms\": {},\n  \"queries_per_sec\": {qps:.1},\n  \
-         \"latency_p50_us\": {},\n  \"latency_p99_us\": {},\n  \"latency_max_us\": {},\n  \
-         \"cache_hit_rate\": {cache_hit_rate:.4},\n  \
-         \"singleflight_lookups\": {sf_lookups},\n  \
-         \"singleflight_computes\": {sf_computes},\n  \
-         \"distinct_queries\": {distinct},\n  \
-         \"singleflight_ok\": {singleflight_ok},\n  \
-         \"oracle_computes\": {oracle_computes},\n  \
-         \"graceful_drain\": {graceful_drain}\n}}\n",
-        opts.connections,
-        opts.queries,
-        opts.connections * opts.queries,
-        elapsed.as_millis(),
-        percentile(&latencies, 0.50),
-        percentile(&latencies, 0.99),
-        latencies.last().copied().unwrap_or(0),
-    );
+    let json_out = Trajectory::new("serve")
+        .scalar("connections", opts.connections)
+        .scalar("queries_per_connection", opts.queries)
+        .scalar("total_queries", opts.connections * opts.queries)
+        .scalar("answered", answered)
+        .scalar("errors", errors)
+        .scalar("shed", shed)
+        .scalar("io_failures", io_failures)
+        .scalar("elapsed_ms", elapsed.as_millis() as usize)
+        .scalar("queries_per_sec", qps)
+        .scalar("latency_p50_us", percentile(&latencies, 0.50) as usize)
+        .scalar("latency_p99_us", percentile(&latencies, 0.99) as usize)
+        .scalar(
+            "latency_max_us",
+            latencies.last().copied().unwrap_or(0) as usize,
+        )
+        .scalar("cache_hit_rate", cache_hit_rate)
+        .scalar("singleflight_lookups", sf_lookups)
+        .scalar("singleflight_computes", sf_computes)
+        .scalar("distinct_queries", distinct)
+        .scalar("singleflight_ok", singleflight_ok)
+        .scalar("oracle_computes", oracle_computes)
+        .scalar("graceful_drain", graceful_drain)
+        .render();
     if let Err(e) = std::fs::write(&opts.out, &json_out) {
         eprintln!("sg-serve-bench: writing {} failed: {e}", opts.out.display());
         std::process::exit(1);

@@ -7,7 +7,7 @@ use crate::network::Network;
 use crate::report::bound_mode;
 use sg_bounds::e_coefficient;
 use sg_bounds::pfun::Period;
-use sg_delay::bound::{theorem_4_1_bound_from_digraph, BoundOpts, ProtocolBound};
+use sg_delay::bound::{s2_lower_bound, theorem_4_1_bound_from_digraph, BoundOpts, ProtocolBound};
 use sg_delay::digraph::DelayDigraph;
 use sg_protocol::protocol::SystolicProtocol;
 use sg_protocol::round::ProtocolError;
@@ -30,7 +30,8 @@ pub struct ProtocolAudit {
     /// Theorem 4.1's protocol-specific bound.
     pub matrix_bound: Option<ProtocolBound>,
     /// Corollary 4.4's closed-form bound in rounds
-    /// (`e(s)·log₂ n`, no lower-order correction).
+    /// (`e(s)·log₂ n`, no lower-order correction); at `s = 2`, the
+    /// linear floor of [`s2_lower_bound`].
     pub closed_form_rounds: f64,
     /// Delay-digraph size `(vertices, arcs)` for reference.
     pub delay_digraph_size: (usize, usize),
@@ -112,10 +113,10 @@ pub fn audit_measured(
     let size = (dg.vertex_count(), dg.edge_count());
     let matrix_bound = theorem_4_1_bound_from_digraph(dg, n, opts);
     // Section 4 special-cases s = 2: the activated arcs form a fixed
-    // directed structure along which items move one arc per round, so the
-    // bound is the *linear* n − 1, not a multiple of log n.
+    // structure along which items move one arc per round, so the bound is
+    // linear in n, not a multiple of log n.
     let closed_form = if sp.s() == 2 {
-        (n.saturating_sub(1)) as f64
+        s2_lower_bound(sp, n).unwrap_or(0) as f64
     } else {
         e_coefficient(bound_mode(sp.mode()), Period::Systolic(sp.s())) * (n as f64).log2()
     };

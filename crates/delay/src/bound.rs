@@ -25,6 +25,7 @@ use crate::digraph::DelayDigraph;
 use sg_linalg::norm::gram_bracket;
 use sg_linalg::roots::bisect_increasing;
 use sg_linalg::sparse::CsrMatrix;
+use sg_protocol::mode::Mode;
 use sg_protocol::protocol::SystolicProtocol;
 
 /// A lower bound on the length of a gossip protocol, from Theorem 4.1.
@@ -277,13 +278,23 @@ pub fn broadcast_bound(sp: &SystolicProtocol, n: usize, opts: BoundOpts) -> Opti
     })
 }
 
-/// The degenerate `s = 2` bound from the start of Section 4: with period
-/// 2 the activated arcs form a fixed subgraph in which each vertex has at
-/// most one incoming and one outgoing arc per round pair, so items advance
-/// at most one arc per round along a fixed directed structure and gossip
-/// needs at least `n − 1` rounds.
+/// The degenerate `s = 2` bound from the start of Section 4, the one
+/// statement of that floor in every mode. With period 2 the activated
+/// arcs form a fixed subgraph, the union of the two rounds:
+///
+/// * directed and half-duplex: each vertex has at most one incoming and
+///   one outgoing arc per round pair, so items advance at most one arc
+///   per round along a fixed directed structure and gossip needs at
+///   least `n − 1` rounds;
+/// * full-duplex: the two rounds are matchings, so the activated graph
+///   has degree ≤ 2. A connected one is a Hamiltonian path or cycle,
+///   whose diameter is at least `⌊n/2⌋`, and gossip needs at least that
+///   many rounds.
 pub fn s2_lower_bound(sp: &SystolicProtocol, n: usize) -> Option<usize> {
-    (sp.s() == 2 && n >= 2).then_some(n - 1)
+    (sp.s() == 2 && n >= 2).then(|| match sp.mode() {
+        Mode::FullDuplex => n / 2,
+        Mode::Directed | Mode::HalfDuplex => n - 1,
+    })
 }
 
 #[cfg(test)]
@@ -391,6 +402,11 @@ mod tests {
         assert!(measured >= n - 1);
         // Non-2-periodic protocols return None.
         assert_eq!(s2_lower_bound(&builders::path_rrll(6), 6), None);
+        // Full-duplex: a Hamiltonian cycle's diameter, met exactly.
+        let g = sg_graphs::generators::cycle(n);
+        let sp = builders::full_duplex_coloring_periodic(&g);
+        assert_eq!(s2_lower_bound(&sp, n), Some(n / 2));
+        assert_eq!(systolic_gossip_time(&sp, n, 4 * n), Some(n / 2));
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! For everything that scales with the group rather than with its
 //! element list — exact orders of huge groups, stabilizer chains,
 //! orbit partitions at any `n` — use [`crate::group`], which computes a
-//! base and strong generating set (Schreier–Sims) from backtracking
-//! *generators* instead of enumerating elements. The former `n ≤ 64`
+//! base and strong generating set (Schreier–Sims) from the
+//! individualization–refinement *generators* of [`crate::refine`]
+//! instead of enumerating elements. This element list stays the test
+//! oracle that path is pinned against. The former `n ≤ 64`
 //! guard lived here precisely because element lists do not scale; the
 //! group layer removed the need for it.
 

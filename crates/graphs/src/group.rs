@@ -24,11 +24,10 @@
 //! group at round 0, and under the (incrementally computed) stabilizer
 //! of the already-fixed prefix at every later round.
 //!
-//! The retired prefix-anchored backtracking search survives as
-//! [`automorphism_generators_backtracking`]: it is the independent
-//! comparator the refinement path is pinned against (same group orders
-//! on Petersen, `Q₇`, the Knödel/de Bruijn zoo), and a second opinion
-//! for anyone auditing the refined search.
+//! The test oracle the refined generator search is pinned against is
+//! the element list of [`crate::automorphism::automorphisms`]: the
+//! chain's order must equal its length on the Knödel/de Bruijn zoo and
+//! on random small digraphs.
 //!
 //! ```
 //! use sg_graphs::{generators, group::automorphism_group};
@@ -438,41 +437,6 @@ impl PermGroup {
     }
 }
 
-/// The retired generator search, by prefix-fixing backtracking: for each
-/// level of a BFS-ordered base, one automorphism per new orbit of the
-/// base point under the stabilizer of the earlier points. Kept as the
-/// independent comparator for the refined path (the two must agree on
-/// every group order); not used on any hot path.
-pub fn automorphism_generators_backtracking(g: &Digraph) -> Vec<Perm> {
-    let n = g.vertex_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let sig: Vec<(usize, usize)> = (0..n).map(|v| (g.out_degree(v), g.in_degree(v))).collect();
-    let mut base: Vec<usize> = vec![0];
-    base.extend(completion_order(g, &[0]));
-    let mut gens: Vec<Perm> = Vec::new();
-    for i in 0..base.len() {
-        let b = base[i];
-        // Orbits of the pointwise stabilizer of the fixed prefix,
-        // approximated from the generators found at this level so far
-        // (every generator found here fixes the prefix by
-        // construction). A stale orbit only costs a redundant search,
-        // never a missed coset.
-        let mut uf = UnionFind::new(n);
-        for w in 0..n {
-            if w == b || sig[w] != sig[b] || uf.same(b, w) {
-                continue;
-            }
-            if let Some(p) = first_automorphism_with_prefix(g, &sig, &base[..i], b, w) {
-                uf.union_perm(&p);
-                gens.push(p);
-            }
-        }
-    }
-    gens
-}
-
 /// The automorphism group of `g`, as a stabilizer chain. This is the
 /// group-layer entry point the enumerator and the scenario cache use —
 /// guard-free, element-list-free. Its generators come from the
@@ -480,157 +444,13 @@ pub fn automorphism_generators_backtracking(g: &Digraph) -> Vec<Perm> {
 /// [`crate::refine::automorphism_generators_refined`], where
 /// equitable-partition refinement (degree and distance invariants,
 /// iterated after every individualization) does the distinguishing work
-/// that the retired backtracking search paid for with exponential
+/// that prefix-anchored backtracking pays for with exponential
 /// refutations on regular look-alike families.
 pub fn automorphism_group(g: &Digraph) -> PermGroup {
     PermGroup::from_generators(
         g.vertex_count(),
         crate::refine::automorphism_generators_refined(g),
     )
-}
-
-/// The first automorphism fixing `prefix` pointwise and mapping
-/// `point → image`, or `None` when no such automorphism exists.
-///
-/// The completion search maps the remaining vertices in BFS order from
-/// the fixed set: every newly assigned vertex has (where connectivity
-/// allows) an already-mapped neighbor, so its candidate images are that
-/// neighbor's image's adjacency — arc constraints bind at assignment
-/// time instead of after an unconstrained cascade, which is what keeps
-/// refutations narrow on bipartite families like Knödel graphs.
-fn first_automorphism_with_prefix(
-    g: &Digraph,
-    sig: &[(usize, usize)],
-    prefix: &[usize],
-    point: usize,
-    image: usize,
-) -> Option<Perm> {
-    let n = g.vertex_count();
-    const UNSET: u32 = u32::MAX;
-    let mut perm = vec![UNSET; n];
-    let mut used = vec![false; n];
-    for &v in prefix {
-        perm[v] = v as u32;
-        used[v] = true;
-    }
-    // The forced assignment must itself be consistent.
-    if used[image] || !extend_ok(g, &perm, point, image) {
-        return None;
-    }
-    perm[point] = image as u32;
-    used[image] = true;
-    let mut fixed: Vec<usize> = prefix.to_vec();
-    fixed.push(point);
-    let order = completion_order(g, &fixed);
-    if first_completion(g, sig, &order, 0, &mut perm, &mut used) {
-        Some(perm)
-    } else {
-        None
-    }
-}
-
-/// The vertex assignment order for completing a partial map on `fixed`:
-/// BFS outward from it over the union adjacency (out- and
-/// in-neighbors), so each entry has an earlier neighbor whenever its
-/// component touches the fixed set; any disconnected remainder follows
-/// in index order. The fixed set itself is excluded.
-fn completion_order(g: &Digraph, fixed: &[usize]) -> Vec<usize> {
-    let n = g.vertex_count();
-    let mut seen = vec![false; n];
-    let mut queue: std::collections::VecDeque<usize> = fixed.iter().copied().collect();
-    for &v in fixed {
-        seen[v] = true;
-    }
-    let mut order = Vec::with_capacity(n.saturating_sub(fixed.len()));
-    while let Some(v) = queue.pop_front() {
-        for &w in g.out_neighbors(v).iter().chain(g.in_neighbors(v)) {
-            let w = w as usize;
-            if !seen[w] {
-                seen[w] = true;
-                order.push(w);
-                queue.push_back(w);
-            }
-        }
-    }
-    order.extend(
-        seen.iter()
-            .enumerate()
-            .filter(|(_, s)| !**s)
-            .map(|(v, _)| v),
-    );
-    order
-}
-
-/// Arc-consistency of assigning `perm[v] = w` against the mapped prefix.
-fn extend_ok(g: &Digraph, perm: &[u32], v: usize, w: usize) -> bool {
-    for (u, &pu) in perm.iter().enumerate() {
-        if pu == u32::MAX {
-            continue;
-        }
-        let wu = pu as usize;
-        if g.has_arc(v, u) != g.has_arc(w, wu) || g.has_arc(u, v) != g.has_arc(wu, w) {
-            return false;
-        }
-    }
-    true
-}
-
-/// Depth-first completion of a partial automorphism along `order`;
-/// `true` on success (with `perm` filled in).
-fn first_completion(
-    g: &Digraph,
-    sig: &[(usize, usize)],
-    order: &[usize],
-    depth: usize,
-    perm: &mut Vec<u32>,
-    used: &mut Vec<bool>,
-) -> bool {
-    let n = g.vertex_count();
-    let Some(&v) = order.get(depth) else {
-        return true;
-    };
-    // Candidate images: the image adjacency of an already-mapped
-    // neighbor when one exists (BFS order guarantees it within the
-    // prefix's component), every unused vertex otherwise.
-    let anchored = g
-        .out_neighbors(v)
-        .iter()
-        .chain(g.in_neighbors(v))
-        .find(|&&u| perm[u as usize] != u32::MAX)
-        .map(|&u| u as usize);
-    let try_candidates = |cands: &mut dyn Iterator<Item = usize>,
-                          perm: &mut Vec<u32>,
-                          used: &mut Vec<bool>|
-     -> bool {
-        for w in cands {
-            if used[w] || sig[v] != sig[w] || !extend_ok(g, perm, v, w) {
-                continue;
-            }
-            perm[v] = w as u32;
-            used[w] = true;
-            if first_completion(g, sig, order, depth + 1, perm, used) {
-                return true;
-            }
-            perm[v] = u32::MAX;
-            used[w] = false;
-        }
-        false
-    };
-    match anchored {
-        Some(u) => {
-            let pu = perm[u] as usize;
-            // v's image must relate to pu exactly as v relates to u;
-            // the candidate pool is pu's adjacency in the matching
-            // direction (extend_ok re-checks everything).
-            let pool: &[u32] = if g.has_arc(u, v) {
-                g.out_neighbors(pu)
-            } else {
-                g.in_neighbors(pu)
-            };
-            try_candidates(&mut pool.iter().map(|&w| w as usize), perm, used)
-        }
-        None => try_candidates(&mut (0..n), perm, used),
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,10 @@
 //! Equitable-partition refinement and individualization–refinement
 //! canonical labeling — the nauty-style symmetry engine.
 //!
-//! [`crate::group::automorphism_generators_backtracking`] finds
-//! automorphisms by prefix-anchored backtracking; on locally
-//! ultra-symmetric regular families (large Knödel graphs, de Bruijn
-//! shift networks) its *refutations* — proving a candidate image wrong —
-//! go exponential, because nothing short of a full completion attempt
+//! Prefix-anchored backtracking finds automorphisms by trying images
+//! vertex by vertex; on locally ultra-symmetric regular families (large
+//! Knödel graphs, de Bruijn shift networks) its *refutations* — proving
+//! a candidate image wrong — go exponential, because nothing short of a full completion attempt
 //! distinguishes two look-alike vertices. This module supplies the
 //! classical fix:
 //!

@@ -14,7 +14,8 @@ use std::time::Instant;
 
 /// Recorded outcome of one benchmark — what real criterion would write
 /// into `target/criterion`; here it is kept in memory so harness mains
-/// can serialize a `BENCH_*.json` perf trajectory.
+/// can hand it to `sg_bench::Trajectory`, which writes the `results`
+/// rows of a `BENCH_*.json` perf trajectory.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
     /// Full label, `group/name[/param]`.

@@ -8,7 +8,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use systolic_gossip::prelude::*;
-use systolic_gossip::sg_protocol::builders::full_duplex_coloring_periodic;
 
 fn assert_audit_sound(net: &Network, sp: &SystolicProtocol, budget: usize) {
     let a = audit(net, sp, budget, BoundOpts::default());
@@ -73,7 +72,7 @@ fn full_duplex_coloring_protocols_sound() {
         Network::Grid2d { w: 5, h: 5 },
     ] {
         let g = net.build();
-        assert_audit_sound(&net, &full_duplex_coloring_periodic(&g), 100_000);
+        assert_audit_sound(&net, &builders::full_duplex_coloring_periodic(&g), 100_000);
     }
 }
 
@@ -143,5 +142,23 @@ fn s2_cycle_meets_linear_bound() {
         let measured = systolic_gossip_time(&sp, n, 4 * n).expect("completes");
         assert!(measured >= bound);
         assert!(measured <= bound + 1, "protocol should be near-optimal");
+    }
+}
+
+/// The s = 2 full-duplex floor: the two-colour schedule of an even cycle
+/// activates a Hamiltonian cycle, so gossip takes its diameter ⌊n/2⌋ —
+/// not the n − 1 of the one-way modes, which would flag it as a
+/// violation.
+#[test]
+fn full_duplex_coloring_periodic() {
+    use systolic_gossip::sg_delay::bound::s2_lower_bound;
+    for n in [8usize, 16, 20] {
+        let net = Network::Cycle { n };
+        let sp = builders::full_duplex_coloring_periodic(&net.build());
+        assert_eq!(sp.s(), 2, "{}", net.name());
+        assert_audit_sound(&net, &sp, 4 * n);
+        let bound = s2_lower_bound(&sp, n).unwrap();
+        let measured = systolic_gossip_time(&sp, n, 4 * n).expect("completes");
+        assert!(measured >= bound, "{}: {measured} < {bound}", net.name());
     }
 }
