@@ -68,7 +68,8 @@ USAGE:
       contains SUBSTR are kept.
 
 OPTIONS:
-  --threads N          worker threads (default: one per core, max 16)
+  --threads N          thread budget, the calling thread counted
+                       (default: one per core, max 16)
   --sim-threads N      threads per unit: item slices of a dense gossip
                        time at n >= 2048 and of a large simulation, and
                        the enumerator's exhaustive parallel pass

@@ -18,7 +18,7 @@ use sg_bench::{bench_json_path, Trajectory};
 use sg_serve::json::{self, Json};
 use sg_serve::server::{Server, ServerConfig};
 use sg_serve::Client;
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// The query mix: small, cross-family, heavily repeated — the shape a
@@ -189,25 +189,24 @@ fn main() {
     );
 
     // All workers connect, meet at the barrier, then fire together.
-    let barrier = Barrier::new(opts.connections + 1);
-    let mut outcomes: Vec<WorkerOutcome> = Vec::with_capacity(opts.connections);
-    let elapsed = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..opts.connections)
-            .map(|c| {
-                let addr = addr.as_str();
-                let barrier = &barrier;
-                std::thread::Builder::new()
-                    .name(format!("lg-{c}"))
-                    .stack_size(128 * 1024)
-                    .spawn_scoped(s, move || run_worker(addr, opts.queries, c, barrier))
-                    .expect("spawn worker")
-            })
-            .collect();
-        barrier.wait();
-        let t0 = Instant::now();
-        outcomes.extend(handles.into_iter().map(|h| h.join().expect("worker")));
-        t0.elapsed()
-    });
+    let barrier = Arc::new(Barrier::new(opts.connections + 1));
+    let handles: Vec<_> = (0..opts.connections)
+        .map(|c| {
+            let (addr, barrier, queries) = (addr.clone(), Arc::clone(&barrier), opts.queries);
+            std::thread::Builder::new()
+                .name(format!("lg-{c}"))
+                .stack_size(128 * 1024)
+                .spawn(move || run_worker(&addr, queries, c, &barrier))
+                .expect("spawn worker")
+        })
+        .collect();
+    barrier.wait();
+    let t0 = Instant::now();
+    let outcomes: Vec<WorkerOutcome> = handles
+        .into_iter()
+        .map(|h| h.join().expect("worker"))
+        .collect();
+    let elapsed = t0.elapsed();
 
     let mut latencies: Vec<u64> = outcomes
         .iter()

@@ -38,11 +38,13 @@
 
 pub mod audit;
 pub mod json;
+pub mod memo;
 pub mod network;
 pub mod oracle;
 pub mod report;
 
 pub use audit::{audit, audit_measured, audit_on, ProtocolAudit};
+pub use memo::Memo;
 pub use network::Network;
 pub use oracle::{
     ceil_log2, default_sources, evaluate_bounds, BoundClass, BoundContribution, BoundOracle,

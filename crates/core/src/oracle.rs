@@ -17,8 +17,8 @@
 //!   [`BoundReport`] so every existing streaming surface keeps working);
 //! * [`BoundOracle`] — the memoizing front door, keyed on
 //!   `(network, mode, period)`. Each key is computed **at most once**
-//!   per oracle (guaranteed by a per-key [`OnceLock`], not just
-//!   best-effort caching), which the scenario batch tests assert.
+//!   per oracle (guaranteed by the single-flight [`crate::Memo`], not
+//!   just best-effort caching), which the scenario batch tests assert.
 //!
 //! The bound inventory follows the paper: the general `e(s) · log₂ n`
 //! coefficients of Corollary 4.4 / Section 6 (with the characteristic
@@ -35,15 +35,18 @@
 //!
 //! let oracle = BoundOracle::new();
 //! let q3 = Network::Hypercube { k: 3 };
-//! let b = oracle.bounds(&q3, Mode::FullDuplex, Period::Systolic(3));
+//! let g = q3.build();
+//! let diameter = systolic_gossip::sg_graphs::traversal::diameter(&g);
+//! let b = oracle.bounds_on(&q3, &g, diameter, Mode::FullDuplex, Period::Systolic(3));
 //! assert_eq!(b.floor_rounds, 3); // the ⌈log₂ 8⌉ doubling floor
 //! assert!(b.asymptotic_rounds.unwrap() > 3.0); // e(s)·log₂ n overshoots at n = 8
 //!
 //! // The same key never computes twice — batch consumers share one oracle.
-//! let _again = oracle.bounds(&q3, Mode::FullDuplex, Period::Systolic(3));
+//! let _again = oracle.bounds_on(&q3, &g, diameter, Mode::FullDuplex, Period::Systolic(3));
 //! assert_eq!(oracle.stats().computes, 1);
 //! ```
 
+use crate::memo::Memo;
 use crate::network::Network;
 use crate::report::{bound_mode, BoundReport};
 use sg_bounds::pfun::{BoundMode, Period};
@@ -55,9 +58,7 @@ use sg_graphs::separator::SeparatorParams;
 use sg_protocol::mode::Mode;
 use sg_protocol::protocol::SystolicProtocol;
 use sg_protocol::round::Round;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// `⌈log₂ n⌉` (0 for `n ≤ 1`): the doubling floor — knowledge at most
 /// doubles per round in every mode.
@@ -466,10 +467,6 @@ type FamilyKey = (Option<(u64, u64)>, BoundMode, Period);
 /// bounded at. Keying on the content (not a digest) rules out silent
 /// hash-collision mixups between distinct protocols.
 type ProtocolKey = (Vec<Round>, Mode, usize);
-/// Per-key once-cells: the lock is held only to fetch the cell, never
-/// while computing, so distinct keys evaluate in parallel while each key
-/// still computes at most once.
-type Memo<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
 
 /// The memoizing bound oracle: one per batch / search session. Every
 /// consumer of lower bounds — the scenario runner, the family-table
@@ -482,12 +479,6 @@ pub struct BoundOracle {
     memo: Memo<Key, Arc<OracleBounds>>,
     protocol_memo: Memo<ProtocolKey, Option<ProtocolBound>>,
     family_memo: Memo<FamilyKey, (f64, bool)>,
-    lookups: AtomicUsize,
-    computes: AtomicUsize,
-    protocol_lookups: AtomicUsize,
-    protocol_computes: AtomicUsize,
-    family_lookups: AtomicUsize,
-    family_computes: AtomicUsize,
 }
 
 impl BoundOracle {
@@ -509,34 +500,10 @@ impl BoundOracle {
         self.opts
     }
 
-    fn cell(&self, key: Key) -> Arc<OnceLock<Arc<OracleBounds>>> {
-        Arc::clone(self.memo.lock().unwrap().entry(key).or_default())
-    }
-
-    /// The bounds for `(net, mode, period)`, building the digraph and
-    /// measuring the diameter only if this key was never computed.
-    pub fn bounds(&self, net: &Network, mode: Mode, period: Period) -> Arc<OracleBounds> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let cell = self.cell((*net, mode, period));
-        Arc::clone(cell.get_or_init(|| {
-            self.computes.fetch_add(1, Ordering::Relaxed);
-            let g = net.build();
-            let diameter = sg_graphs::traversal::diameter(&g);
-            Arc::new(evaluate_bounds(&BoundQuery {
-                network: net,
-                graph: &g,
-                diameter,
-                mode,
-                period,
-                protocol: None,
-                opts: self.opts,
-            }))
-        }))
-    }
-
-    /// [`BoundOracle::bounds`] on an already-built digraph with an
-    /// already-measured diameter — the batch-runner entry point, so the
-    /// oracle never rebuilds what the build cache already holds.
+    /// The bounds for `(net, mode, period)` on its built digraph `g` and
+    /// measured diameter, evaluated only if this key was never computed
+    /// — the oracle never rebuilds what the caller (the build cache)
+    /// already holds.
     pub fn bounds_on(
         &self,
         net: &Network,
@@ -545,10 +512,7 @@ impl BoundOracle {
         mode: Mode,
         period: Period,
     ) -> Arc<OracleBounds> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let cell = self.cell((*net, mode, period));
-        Arc::clone(cell.get_or_init(|| {
-            self.computes.fetch_add(1, Ordering::Relaxed);
+        self.memo.get_or_compute((*net, mode, period), || {
             Arc::new(evaluate_bounds(&BoundQuery {
                 network: net,
                 graph: g,
@@ -558,18 +522,15 @@ impl BoundOracle {
                 protocol: None,
                 opts: self.opts,
             }))
-        }))
+        })
     }
 
     /// Theorem 4.1 on a concrete protocol, memoized on the protocol's
     /// full content (rounds + mode) and `n` — repeated certifications of
     /// the same schedule share one λ-search.
     pub fn protocol_bound(&self, sp: &SystolicProtocol, n: usize) -> Option<ProtocolBound> {
-        self.protocol_lookups.fetch_add(1, Ordering::Relaxed);
         let key: ProtocolKey = (sp.period().to_vec(), sp.mode(), n);
-        let cell = Arc::clone(self.protocol_memo.lock().unwrap().entry(key).or_default());
-        *cell.get_or_init(|| {
-            self.protocol_computes.fetch_add(1, Ordering::Relaxed);
+        self.protocol_memo.get_or_compute(key, || {
             let dg = DelayDigraph::periodic(sp);
             theorem_4_1_bound_from_digraph(&dg, n, self.opts)
         })
@@ -586,21 +547,16 @@ impl BoundOracle {
         mode: BoundMode,
         period: Period,
     ) -> (f64, bool) {
-        self.family_lookups.fetch_add(1, Ordering::Relaxed);
         let key: FamilyKey = (
             params.map(|p| (p.alpha.to_bits(), p.ell.to_bits())),
             mode,
             period,
         );
-        let cell = Arc::clone(self.family_memo.lock().unwrap().entry(key).or_default());
-        *cell.get_or_init(|| {
-            self.family_computes.fetch_add(1, Ordering::Relaxed);
-            match params {
-                None => (e_coefficient(mode, period), false),
-                Some(p) => {
-                    let b = e_separator(p, mode, period);
-                    (b.e, b.at_boundary)
-                }
+        self.family_memo.get_or_compute(key, || match params {
+            None => (e_coefficient(mode, period), false),
+            Some(p) => {
+                let b = e_separator(p, mode, period);
+                (b.e, b.at_boundary)
             }
         })
     }
@@ -608,12 +564,12 @@ impl BoundOracle {
     /// Snapshot of the counters.
     pub fn stats(&self) -> OracleStats {
         OracleStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            computes: self.computes.load(Ordering::Relaxed),
-            protocol_lookups: self.protocol_lookups.load(Ordering::Relaxed),
-            protocol_computes: self.protocol_computes.load(Ordering::Relaxed),
-            family_lookups: self.family_lookups.load(Ordering::Relaxed),
-            family_computes: self.family_computes.load(Ordering::Relaxed),
+            lookups: self.memo.lookups(),
+            computes: self.memo.computes(),
+            protocol_lookups: self.protocol_memo.lookups(),
+            protocol_computes: self.protocol_memo.computes(),
+            family_lookups: self.family_memo.lookups(),
+            family_computes: self.family_memo.computes(),
         }
     }
 }
@@ -639,11 +595,23 @@ mod tests {
     use super::*;
     use crate::report::bound_report;
 
+    /// [`BoundOracle::bounds_on`] on a freshly built graph and diameter.
+    fn bounds(
+        oracle: &BoundOracle,
+        net: &Network,
+        mode: Mode,
+        period: Period,
+    ) -> Arc<OracleBounds> {
+        let g = net.build();
+        let diameter = sg_graphs::traversal::diameter(&g);
+        oracle.bounds_on(net, &g, diameter, mode, period)
+    }
+
     #[test]
     fn oracle_matches_the_direct_report() {
         let net = Network::WrappedButterfly { d: 2, dd: 5 };
         let oracle = BoundOracle::new();
-        let ob = oracle.bounds(&net, Mode::HalfDuplex, Period::Systolic(4));
+        let ob = bounds(&oracle, &net, Mode::HalfDuplex, Period::Systolic(4));
         let direct = bound_report(&net, Mode::HalfDuplex, Period::Systolic(4));
         assert_eq!(ob.report.n, direct.n);
         assert!((ob.report.general_rounds - direct.general_rounds).abs() < 1e-12);
@@ -663,8 +631,8 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..4 {
-                        let _ = oracle.bounds(&net, Mode::HalfDuplex, Period::Systolic(4));
-                        let _ = oracle.bounds(&net, Mode::FullDuplex, Period::Systolic(4));
+                        let _ = bounds(&oracle, &net, Mode::HalfDuplex, Period::Systolic(4));
+                        let _ = bounds(&oracle, &net, Mode::FullDuplex, Period::Systolic(4));
                     }
                 });
             }
@@ -678,7 +646,8 @@ mod tests {
     fn floors_follow_the_certifier_tie_breaking() {
         let oracle = BoundOracle::new();
         // Path: diameter n−1 dominates.
-        let p = oracle.bounds(
+        let p = bounds(
+            &oracle,
             &Network::Path { n: 8 },
             Mode::HalfDuplex,
             Period::Systolic(4),
@@ -686,7 +655,8 @@ mod tests {
         assert_eq!(p.floor_rounds, 7);
         assert_eq!(p.floor_source, FloorSource::Diameter);
         // Hypercube: doubling floor k, diameter ties it — doubling wins.
-        let q = oracle.bounds(
+        let q = bounds(
+            &oracle,
             &Network::Hypercube { k: 3 },
             Mode::FullDuplex,
             Period::Systolic(3),
@@ -694,7 +664,8 @@ mod tests {
         assert_eq!(q.floor_rounds, 3);
         assert_eq!(q.floor_source, FloorSource::Doubling);
         // Cycle at s = 2, half-duplex: the linear n − 1 floor.
-        let c = oracle.bounds(
+        let c = bounds(
+            &oracle,
             &Network::Cycle { n: 8 },
             Mode::HalfDuplex,
             Period::Systolic(2),
@@ -707,7 +678,8 @@ mod tests {
     #[test]
     fn degenerate_s2_report_is_finite_only_in_the_floors() {
         let oracle = BoundOracle::new();
-        let ob = oracle.bounds(
+        let ob = bounds(
+            &oracle,
             &Network::Cycle { n: 8 },
             Mode::HalfDuplex,
             Period::Systolic(2),

@@ -177,6 +177,9 @@ fn json_escape_into(out: &mut String, s: &str) {
 fn json_value_into(out: &mut String, v: &Value) {
     match v {
         Value::Int(i) => out.push_str(&i.to_string()),
+        // A whole float keeps a `.0` (`58.0`, `-0.0`), so a float column
+        // reads back as floats whatever its values.
+        Value::Float(f) if f.is_finite() && f.fract() == 0.0 => out.push_str(&format!("{f:.1}")),
         Value::Float(f) if f.is_finite() => out.push_str(&format!("{f}")),
         Value::Float(_) => out.push_str("null"),
         Value::Text(s) => {
@@ -318,6 +321,25 @@ mod tests {
             json,
             r#"{"name":"a\"b\nc","n":12,"x":1.5,"ok":true,"missing":null}"#
         );
+    }
+
+    #[test]
+    fn whole_floats_stay_floats_through_json() {
+        let row = Row::new()
+            .with("a", 58.0)
+            .with("b", 0.0)
+            .with("c", -0.0)
+            .with("d", 2.5);
+        let line = to_json_line(&row);
+        assert_eq!(line, r#"{"a":58.0,"b":0.0,"c":-0.0,"d":2.5}"#);
+        let parsed = crate::json::parse(&line).unwrap();
+        for key in ["a", "b"] {
+            assert!(
+                matches!(parsed.get(key), Some(crate::json::Json::Float(_))),
+                "{key} parsed as {:?}",
+                parsed.get(key)
+            );
+        }
     }
 
     #[test]

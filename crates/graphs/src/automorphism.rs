@@ -32,6 +32,11 @@ pub const AUTOMORPHISM_ELEMENT_CAP: usize = 1 << 20;
 /// result is never empty. Deterministic: permutations come out in
 /// lexicographic order.
 ///
+/// Vertices are assigned in breadth-first order of the underlying
+/// undirected graph, so every vertex past a component's root has an
+/// already mapped neighbour, and only that neighbour's image's
+/// neighbours pass the consistency check as its image.
+///
 /// The element list has `|Aut(g)|` entries — prefer
 /// [`crate::group::automorphism_group`] (and its capped
 /// [`crate::group::PermGroup::elements_capped`]) when the group might be
@@ -52,21 +57,51 @@ pub fn automorphisms(g: &Digraph) -> Vec<Vec<u32>> {
     // Candidate images must preserve the (out-degree, in-degree)
     // signature; everything else is checked incrementally.
     let sig: Vec<(usize, usize)> = (0..n).map(|v| (g.out_degree(v), g.in_degree(v))).collect();
-    backtrack(g, &sig, 0, &mut perm, &mut used, &mut out);
+    let order = bfs_order(g);
+    backtrack(g, &sig, &order, 0, &mut perm, &mut used, &mut out);
+    out.sort_unstable();
     out
 }
 
-/// Extends a partial vertex mapping `perm[0..v]` to all completions.
+/// Every vertex once, in breadth-first order over arcs taken both ways,
+/// restarting from the smallest unvisited vertex per component.
+fn bfs_order(g: &Digraph) -> Vec<usize> {
+    let n = g.vertex_count();
+    let mut seen = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    for root in 0..n {
+        if seen[root] {
+            continue;
+        }
+        seen[root] = true;
+        order.push(root);
+        let mut head = order.len() - 1;
+        while head < order.len() {
+            let u = order[head];
+            head += 1;
+            for &w in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
+                if !seen[w as usize] {
+                    seen[w as usize] = true;
+                    order.push(w as usize);
+                }
+            }
+        }
+    }
+    order
+}
+
+/// Extends a partial vertex mapping of `order[..k]` to all completions.
 fn backtrack(
     g: &Digraph,
     sig: &[(usize, usize)],
-    v: usize,
+    order: &[usize],
+    k: usize,
     perm: &mut Vec<u32>,
     used: &mut Vec<bool>,
     out: &mut Vec<Vec<u32>>,
 ) {
     let n = g.vertex_count();
-    if v == n {
+    if k == n {
         assert!(
             out.len() < AUTOMORPHISM_ELEMENT_CAP,
             "automorphism element list exceeds {AUTOMORPHISM_ELEMENT_CAP} entries — \
@@ -75,21 +110,22 @@ fn backtrack(
         out.push(perm.clone());
         return;
     }
+    let v = order[k];
     'image: for w in 0..n {
         if used[w] || sig[v] != sig[w] {
             continue;
         }
         // Consistency with every already-mapped vertex: arcs to/from `v`
         // must map to arcs to/from `w`, and non-arcs to non-arcs.
-        for (u, &pu) in perm.iter().enumerate().take(v) {
-            let wu = pu as usize;
+        for &u in &order[..k] {
+            let wu = perm[u] as usize;
             if g.has_arc(v, u) != g.has_arc(w, wu) || g.has_arc(u, v) != g.has_arc(wu, w) {
                 continue 'image;
             }
         }
         perm[v] = w as u32;
         used[w] = true;
-        backtrack(g, sig, v + 1, perm, used, out);
+        backtrack(g, sig, order, k + 1, perm, used, out);
         perm[v] = u32::MAX;
         used[w] = false;
     }

@@ -4,9 +4,9 @@
 //! scenarios in a batch often touch the same networks; building a CSR
 //! digraph, measuring its diameter, and folding a protocol into its
 //! periodic delay digraph are the expensive, reusable parts. The cache
-//! shares them across all worker threads behind plain mutexes — every
-//! entry is built at most a handful of times (benign build races are
-//! tolerated rather than serialized) and read many times.
+//! shares them across all worker threads through single-flight
+//! [`Memo`]s: every entry is built exactly once, racing threads wait for
+//! that one build, and entries are read many times.
 
 use crate::descriptor::{protocol_for, ProtocolKind};
 use sg_delay::digraph::DelayDigraph;
@@ -14,10 +14,8 @@ use sg_graphs::digraph::Digraph;
 use sg_graphs::group::{automorphism_group, PermGroup};
 use sg_protocol::mode::Mode;
 use sg_protocol::protocol::SystolicProtocol;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use systolic_gossip::{BoundOracle, Network, OracleStats};
+use systolic_gossip::{BoundOracle, Memo, Network, OracleStats};
 
 /// Hit/build counters, for the `--stats` CLI surface and the tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,10 +49,10 @@ pub struct CacheStats {
     pub oracle: OracleStats,
 }
 
-/// The per-`(network, mode)` deterministic-protocol memo. `None` entries
-/// record that the family has no deterministic protocol in that mode
-/// (directed shift networks), so the absence is also computed once.
-type ProtocolMemo = HashMap<(Network, Mode), Option<(ProtocolKind, Arc<SystolicProtocol>)>>;
+/// A deterministic protocol and the kind that built it; `None` records
+/// that the family has no deterministic protocol in that mode (directed
+/// shift networks), so the absence is also computed once.
+type ProtocolEntry = Option<(ProtocolKind, Arc<SystolicProtocol>)>;
 
 /// Shared memo of built digraphs, measured diameters, deterministic
 /// protocols and periodic delay digraphs, keyed by the network
@@ -63,21 +61,11 @@ type ProtocolMemo = HashMap<(Network, Mode), Option<(ProtocolKind, Arc<SystolicP
 #[derive(Debug, Default)]
 pub struct BuildCache {
     oracle: BoundOracle,
-    graphs: Mutex<HashMap<Network, Arc<Digraph>>>,
-    diameters: Mutex<HashMap<Network, Option<u32>>>,
-    delays: Mutex<HashMap<(Network, ProtocolKind), Arc<DelayDigraph>>>,
-    groups: Mutex<HashMap<Network, Arc<PermGroup>>>,
-    protocols: Mutex<ProtocolMemo>,
-    graph_hits: AtomicUsize,
-    graph_builds: AtomicUsize,
-    diameter_hits: AtomicUsize,
-    diameter_builds: AtomicUsize,
-    delay_hits: AtomicUsize,
-    delay_builds: AtomicUsize,
-    group_hits: AtomicUsize,
-    group_builds: AtomicUsize,
-    protocol_hits: AtomicUsize,
-    protocol_builds: AtomicUsize,
+    graphs: Memo<Network, Arc<Digraph>>,
+    diameters: Memo<Network, Option<u32>>,
+    delays: Memo<(Network, ProtocolKind), Arc<DelayDigraph>>,
+    groups: Memo<Network, Arc<PermGroup>>,
+    protocols: Memo<(Network, Mode), ProtocolEntry>,
     /// Batch-wide maxima of (group order, chain depth) — the group
     /// statistics the `--stats` surface reports.
     group_maxima: Mutex<(u128, usize)>,
@@ -91,28 +79,14 @@ impl BuildCache {
 
     /// The built digraph of `net`, shared across threads.
     pub fn digraph(&self, net: &Network) -> Arc<Digraph> {
-        if let Some(g) = self.graphs.lock().unwrap().get(net) {
-            self.graph_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(g);
-        }
-        // Build outside the lock: a concurrent duplicate build is cheaper
-        // than serializing every worker behind one construction.
-        let built = Arc::new(net.build());
-        self.graph_builds.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(self.graphs.lock().unwrap().entry(*net).or_insert(built))
+        self.graphs.get_or_compute(*net, || Arc::new(net.build()))
     }
 
     /// The measured diameter of `net` (`None` when not strongly
     /// connected), shared across threads.
     pub fn diameter(&self, net: &Network) -> Option<u32> {
-        if let Some(d) = self.diameters.lock().unwrap().get(net) {
-            self.diameter_hits.fetch_add(1, Ordering::Relaxed);
-            return *d;
-        }
-        let g = self.digraph(net);
-        let d = sg_graphs::traversal::diameter(&g);
-        self.diameter_builds.fetch_add(1, Ordering::Relaxed);
-        *self.diameters.lock().unwrap().entry(*net).or_insert(d)
+        self.diameters
+            .get_or_compute(*net, || sg_graphs::traversal::diameter(&self.digraph(net)))
     }
 
     /// The periodic delay digraph of `net`'s protocol of `kind`, built by
@@ -124,33 +98,24 @@ impl BuildCache {
         kind: ProtocolKind,
         build: impl FnOnce() -> DelayDigraph,
     ) -> Arc<DelayDigraph> {
-        let key = (*net, kind);
-        if let Some(dg) = self.delays.lock().unwrap().get(&key) {
-            self.delay_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(dg);
-        }
-        let built = Arc::new(build());
-        self.delay_builds.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(self.delays.lock().unwrap().entry(key).or_insert(built))
+        self.delays
+            .get_or_compute((*net, kind), || Arc::new(build()))
     }
 
     /// The automorphism group of `net` as a stabilizer chain
     /// (Schreier–Sims), computed once per batch and shared — the
     /// symmetry substrate every enumeration unit of a sweep reuses.
     pub fn perm_group(&self, net: &Network) -> Arc<PermGroup> {
-        if let Some(grp) = self.groups.lock().unwrap().get(net) {
-            self.group_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(grp);
-        }
-        let g = self.digraph(net);
-        let built = Arc::new(automorphism_group(&g));
-        self.group_builds.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut maxima = self.group_maxima.lock().unwrap();
+        self.groups.get_or_compute(*net, || {
+            let built = Arc::new(automorphism_group(&self.digraph(net)));
+            let mut maxima = self
+                .group_maxima
+                .lock()
+                .expect("no panic under the maxima lock");
             maxima.0 = maxima.0.max(built.order());
             maxima.1 = maxima.1.max(built.chain_depth());
-        }
-        Arc::clone(self.groups.lock().unwrap().entry(*net).or_insert(built))
+            built
+        })
     }
 
     /// The deterministic protocol [`protocol_for`] picks for `net` under
@@ -159,25 +124,10 @@ impl BuildCache {
     /// memoized too. Sharing the schedule is what lets a query daemon
     /// certify the same reference protocol from many connections without
     /// rebuilding it per request.
-    pub fn protocol(
-        &self,
-        net: &Network,
-        mode: Mode,
-    ) -> Option<(ProtocolKind, Arc<SystolicProtocol>)> {
-        let key = (*net, mode);
-        if let Some(entry) = self.protocols.lock().unwrap().get(&key) {
-            self.protocol_hits.fetch_add(1, Ordering::Relaxed);
-            return entry.clone();
-        }
-        let g = self.digraph(net);
-        let built = protocol_for(net, &g, mode).map(|(kind, sp)| (kind, Arc::new(sp)));
-        self.protocol_builds.fetch_add(1, Ordering::Relaxed);
-        self.protocols
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert(built)
-            .clone()
+    pub fn protocol(&self, net: &Network, mode: Mode) -> ProtocolEntry {
+        self.protocols.get_or_compute((*net, mode), || {
+            protocol_for(net, &self.digraph(net), mode).map(|(kind, sp)| (kind, Arc::new(sp)))
+        })
     }
 
     /// The batch-wide memoizing bound oracle: every consumer of lower
@@ -191,18 +141,18 @@ impl BuildCache {
     pub fn stats(&self) -> CacheStats {
         let maxima = *self.group_maxima.lock().unwrap();
         CacheStats {
-            graph_hits: self.graph_hits.load(Ordering::Relaxed),
-            graph_builds: self.graph_builds.load(Ordering::Relaxed),
-            diameter_hits: self.diameter_hits.load(Ordering::Relaxed),
-            diameter_builds: self.diameter_builds.load(Ordering::Relaxed),
-            delay_hits: self.delay_hits.load(Ordering::Relaxed),
-            delay_builds: self.delay_builds.load(Ordering::Relaxed),
-            group_hits: self.group_hits.load(Ordering::Relaxed),
-            group_builds: self.group_builds.load(Ordering::Relaxed),
+            graph_hits: self.graphs.hits(),
+            graph_builds: self.graphs.computes(),
+            diameter_hits: self.diameters.hits(),
+            diameter_builds: self.diameters.computes(),
+            delay_hits: self.delays.hits(),
+            delay_builds: self.delays.computes(),
+            group_hits: self.groups.hits(),
+            group_builds: self.groups.computes(),
             group_order_max: maxima.0,
             group_chain_depth_max: maxima.1,
-            protocol_hits: self.protocol_hits.load(Ordering::Relaxed),
-            protocol_builds: self.protocol_builds.load(Ordering::Relaxed),
+            protocol_hits: self.protocols.hits(),
+            protocol_builds: self.protocols.computes(),
             oracle: self.oracle.stats(),
         }
     }
@@ -324,21 +274,30 @@ mod tests {
     fn threads_share_one_build() {
         let cache = BuildCache::new();
         let net = Network::Hypercube { k: 6 };
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let _ = cache.digraph(&net);
-                    let _ = cache.diameter(&net);
-                });
-            }
+        let race = |lookup: &(dyn Fn() + Sync)| {
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(lookup);
+                }
+            })
+        };
+        // Single-flight: one build, and the other three threads wait for
+        // it and count as hits.
+        race(&|| {
+            let _ = cache.digraph(&net);
         });
         let stats = cache.stats();
-        // Benign races may build a duplicate, but the common case is one
-        // build; either way every thread got an answer.
-        assert!(stats.graph_builds >= 1);
-        assert!(
-            stats.graph_builds + stats.graph_hits >= 4,
-            "all lookups accounted: {stats:?}"
+        assert_eq!((stats.graph_builds, stats.graph_hits), (1, 3), "{stats:?}");
+        race(&|| {
+            let _ = cache.diameter(&net);
+        });
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.diameter_builds, stats.diameter_hits),
+            (1, 3),
+            "{stats:?}"
         );
+        // The one diameter build read the shared digraph.
+        assert_eq!((stats.graph_builds, stats.graph_hits), (1, 4), "{stats:?}");
     }
 }

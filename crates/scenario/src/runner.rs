@@ -2,9 +2,8 @@
 //!
 //! [`run_batch`] expands every scenario into independent work units —
 //! one family-table row, one network under the scenario's task, the
-//! matrix figures, or the paper-check set — fans the units out across a
-//! `std::thread::scope` worker pool behind an atomic cursor (the same
-//! claim-by-cursor idiom as `sg_sim::sliced`), and reassembles the
+//! matrix figures, or the paper-check set — fans the units out with
+//! [`sg_sim::fan_out()`] over the thread budget, and reassembles the
 //! per-unit results into deterministic, scenario-ordered outcomes.
 //! Expensive intermediates (built digraphs, measured diameters, periodic
 //! delay digraphs, protocols, symmetry groups) are shared across all
@@ -55,12 +54,12 @@ use sg_graphs::weighted::WeightedDigraph;
 use sg_protocol::local::BlockPattern;
 use sg_protocol::mode::Mode;
 use sg_protocol::protocol::SystolicProtocol;
+use sg_sim::fan_out;
 use sg_sim::greedy::greedy_gossip;
 use sg_sim::pool::systolic_gossip_time_pool;
 use sg_sim::sliced::{run_systolic_large, slice_bytes, SLICE_ITEMS};
 use sg_sim::trace::knowledge_curve;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use systolic_gossip::{audit_measured, ceil_log2, Network, Row};
 
 /// Knobs of one batch run.
@@ -68,12 +67,11 @@ use systolic_gossip::{audit_measured, ceil_log2, Network, Row};
 pub struct BatchOptions {
     /// Thread *budget* — the global budget shared by unit-level fan-out
     /// and within-unit parallelism (`0` = one per available core,
-    /// capped at 16). This is the repo-wide worker-vs-budget convention:
-    /// a budget of `t` allows `t` threads working at once, the calling
-    /// thread counted among them when it works too (the item-sliced
-    /// engine spawns `t - 1` and runs slices on the caller), so a budget
-    /// of 1 runs strictly sequentially. Callers echoing the budget must
-    /// not describe it as a worker count.
+    /// capped at 16). Every thread budget in the workspace follows one
+    /// rule, [`sg_sim::fan_out()`]'s: a budget of `t` means `t` threads
+    /// working, the calling thread counted — `t − 1` are spawned and the
+    /// caller works too — so a budget of 1 runs strictly sequentially
+    /// and spawns nothing.
     pub threads: usize,
     /// Thread budget within one unit (`0` = derive: leftover budget
     /// when there are fewer units than threads): the item-sliced
@@ -323,39 +321,29 @@ fn units_of(scenario: &Scenario) -> Vec<Unit> {
 /// structures through one shared cache.
 pub fn run_batch(scenarios: &[Scenario], opts: &BatchOptions) -> BatchReport {
     let cache = BuildCache::new();
-    // Flatten: (scenario index, unit index within scenario, unit).
-    let mut work: Vec<(usize, usize, Unit)> = Vec::new();
-    for (si, sc) in scenarios.iter().enumerate() {
-        for (ui, unit) in units_of(sc).into_iter().enumerate() {
-            work.push((si, ui, unit));
-        }
-    }
+    // Flatten, in (scenario, unit) order: (scenario index, unit).
+    let work: Vec<(usize, Unit)> = scenarios
+        .iter()
+        .enumerate()
+        .flat_map(|(si, sc)| units_of(sc).into_iter().map(move |unit| (si, unit)))
+        .collect();
 
-    let cursor = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, usize, UnitOut)>> = Mutex::new(Vec::with_capacity(work.len()));
-    let threads = opts.effective_threads().min(work.len().max(1));
     let sim_threads = opts.within_unit_threads(work.len());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some((si, ui, unit)) = work.get(i) else {
-                    break;
-                };
-                let cx = UnitCx {
-                    scenario: &scenarios[*si],
-                    cache: &cache,
-                    opts,
-                    sim_threads,
-                };
-                let out = run_unit(unit, &cx);
-                done.lock().unwrap().push((*si, *ui, out));
-            });
-        }
-    });
-
-    let mut finished = done.into_inner().unwrap();
-    finished.sort_by_key(|(si, ui, _)| (*si, *ui));
+    let mut finished: Vec<(usize, UnitOut)> =
+        fan_out(opts.effective_threads(), work.len(), Vec::new, |done, i| {
+            let (si, unit) = &work[i];
+            let cx = UnitCx {
+                scenario: &scenarios[*si],
+                cache: &cache,
+                opts,
+                sim_threads,
+            };
+            done.push((i, run_unit(unit, &cx)));
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    finished.sort_by_key(|(i, _)| *i);
 
     let mut outcomes: Vec<ScenarioOutcome> = scenarios
         .iter()
@@ -366,7 +354,8 @@ pub fn run_batch(scenarios: &[Scenario], opts: &BatchOptions) -> BatchReport {
         })
         .collect();
     let mut fig_rows: Vec<Vec<FigRow>> = vec![Vec::new(); scenarios.len()];
-    for (si, _, out) in finished {
+    for (i, out) in finished {
+        let si = work[i].0;
         let o = &mut outcomes[si];
         o.rows.extend(out.rows);
         if let Some(r) = out.fig_row {

@@ -58,7 +58,7 @@ fn batch_executor_memoizes_across_sweep_points() {
     let sc = find("zoo-bounds").expect("registered");
     let n_networks = sc.networks.len();
     let report = run_batch(&[sc], &opts());
-    assert!(report.cache.graph_builds <= n_networks + 1);
+    assert_eq!(report.cache.graph_builds, n_networks, "{:?}", report.cache);
     assert!(
         report.cache.graph_hits >= n_networks,
         "expected per-network cache hits, got {:?}",

@@ -2,8 +2,8 @@
 //!
 //! The search space is the set of valid period-`p` round schedules for a
 //! `(network, mode)` pair; the driver runs one independent annealing
-//! chain per `(period, restart)` job, fanned out across a scoped worker
-//! pool behind an atomic cursor (the batch-runner idiom). Each chain is
+//! chain per `(period, restart)` job, fanned out by [`sg_sim::fan_out()`]
+//! over the thread budget. Each chain is
 //! seeded deterministically from `(seed, period, restart)`, evaluates
 //! candidates through the compiled-schedule engine with an
 //! incumbent-based horizon cutoff
@@ -20,9 +20,7 @@ use rand::{Rng, SeedableRng};
 use sg_graphs::digraph::Digraph;
 use sg_protocol::mode::Mode;
 use sg_protocol::protocol::SystolicProtocol;
-use sg_sim::{CompiledSchedule, CompletionCursor, Knowledge};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use sg_sim::{fan_out, CompiledSchedule, CompletionCursor, Knowledge};
 use systolic_gossip::{BoundOracle, Network};
 
 /// Knobs of one search.
@@ -50,8 +48,9 @@ pub struct SearchConfig {
     /// Simulation round budget per evaluation (`0` = derive `40·n + 200`,
     /// the conformance suite's generous default).
     pub sim_budget: usize,
-    /// Worker threads across chains (`0` = one per available core,
-    /// capped at 16). Results are identical for every value.
+    /// Thread budget across chains, the calling thread counted (`0` =
+    /// one per available core, capped at 16). Results are identical for
+    /// every value.
     pub threads: usize,
 }
 
@@ -88,16 +87,15 @@ impl SearchConfig {
         }
     }
 
-    fn effective_threads(&self, jobs: usize) -> usize {
-        let t = if self.threads > 0 {
+    fn effective_threads(&self) -> usize {
+        if self.threads > 0 {
             self.threads
         } else {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4)
                 .min(16)
-        };
-        t.min(jobs.max(1))
+        }
     }
 }
 
@@ -282,29 +280,18 @@ pub fn search_with_oracle(
         }
     };
 
-    let cursor = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, ChainResult)>> = Mutex::new(Vec::with_capacity(jobs.len()));
-    let threads = cfg.effective_threads(jobs.len());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(p, r)) = jobs.get(i) else {
-                    break;
-                };
-                let result = run_chain(
-                    g,
-                    &kernel,
-                    start_of(p, r),
-                    chain_seed(cfg.seed, p, r),
-                    budget,
-                    cfg,
-                );
-                done.lock().unwrap().push((i, result));
-            });
-        }
-    });
-    let mut results = done.into_inner().unwrap();
+    let mut results: Vec<(usize, ChainResult)> =
+        fan_out(cfg.effective_threads(), jobs.len(), Vec::new, |done, i| {
+            let (p, r) = jobs[i];
+            let start = start_of(p, r);
+            done.push((
+                i,
+                run_chain(g, &kernel, start, chain_seed(cfg.seed, p, r), budget, cfg),
+            ));
+        })
+        .into_iter()
+        .flatten()
+        .collect();
     results.sort_by_key(|(i, _)| *i);
 
     // Deterministic reduction: completing chains beat non-completing

@@ -102,8 +102,7 @@
 //! stops. The memo and the node budget carry across passes.
 //!
 //! A pass fans out over a breadth-first frontier of subtree tasks
-//! claimed from an atomic cursor by scoped workers (the idiom of
-//! `sg-sim`'s item-sliced engine). Each worker owns its scratch —
+//! claimed by [`sg_sim::fan_out()`]'s workers. Each worker owns its scratch —
 //! pooled per-depth knowledge and stabilizer buffers refilled with
 //! [`Knowledge::copy_from`], a signature engine and a ~1 MiB front
 //! cache — so a node allocates nothing once the pools are warm; workers
@@ -128,7 +127,7 @@ use sg_graphs::refine::{canonical_form, distance_seed, Cells, Relations};
 use sg_protocol::mode::Mode;
 use sg_protocol::protocol::SystolicProtocol;
 use sg_protocol::round::Round;
-use sg_sim::{CompiledSchedule, CompletionCursor, Knowledge};
+use sg_sim::{fan_out, CompiledSchedule, CompletionCursor, Knowledge};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrd};
@@ -1292,11 +1291,12 @@ fn pass_node(
     ctx.stabs.push(child);
 }
 
-/// Runs one exhaustive pass under `shared.cap` with `threads` workers:
-/// carves a breadth-first frontier, then claims tasks from an atomic
-/// cursor until drained. The visited node set is a pure function of the
-/// instance and cap, so the merged counters and the `(value, prefix)`-
-/// minimal completion are identical at any thread count.
+/// Runs one exhaustive pass under `shared.cap` on a budget of `threads`
+/// threads: with more than one, carves a breadth-first frontier first,
+/// then [`fan_out`]'s workers claim the tasks until drained. The visited
+/// node set is a pure function of the instance and cap, so the merged
+/// counters and the `(value, prefix)`-minimal completion are identical
+/// at any thread count.
 fn run_pass(shared: &PassShared, threads: usize) -> PassAcc {
     let mut acc = PassAcc::new(shared.slots);
     let root = PassTask {
@@ -1304,29 +1304,16 @@ fn run_pass(shared: &PassShared, threads: usize) -> PassAcc {
         state: Knowledge::initial(shared.n),
         stab: shared.root.clone(),
     };
-    if threads <= 1 {
-        let mut ctx = Ctx::new(shared);
-        let mut prefix = root.prefix;
-        pass_node(
-            &mut ctx,
-            &mut prefix,
-            &root.state,
-            &root.stab,
-            &mut acc,
-            &mut None,
-        );
-        return acc;
-    }
-
-    // Carve the frontier: expand shallow tasks breadth-first until
-    // there is enough slack for every worker. Expansion runs the exact
-    // per-child logic of the descent, so the split never shows up in
-    // the counters.
-    let target = threads * TASKS_PER_THREAD;
-    let mut queue = VecDeque::new();
     let mut ready: Vec<PassTask> = Vec::new();
-    queue.push_back(root);
-    {
+    if threads <= 1 {
+        ready.push(root);
+    } else {
+        // Carve the frontier: expand shallow tasks breadth-first until
+        // there is enough slack for every worker. Expansion runs the
+        // exact per-child logic of the descent, so the split never shows
+        // up in the counters.
+        let target = threads * TASKS_PER_THREAD;
+        let mut queue = VecDeque::from([root]);
         let mut ctx = Ctx::new(shared);
         while ready.len() + queue.len() < target {
             let Some(task) = queue.pop_front() else { break };
@@ -1346,38 +1333,20 @@ fn run_pass(shared: &PassShared, threads: usize) -> PassAcc {
                 &mut spill,
             );
         }
+        ready.extend(queue);
     }
-    ready.extend(queue);
 
-    let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<PassAcc>> = Mutex::new(Vec::new());
-    let tasks = &ready;
-    let workers = threads.min(tasks.len().max(1));
-    std::thread::scope(|scope| {
-        let work = || {
-            let mut ctx = Ctx::new(shared);
-            let mut local = PassAcc::new(shared.slots);
-            loop {
-                let i = cursor.fetch_add(1, AtomicOrd::Relaxed);
-                let Some(task) = tasks.get(i) else { break };
-                let mut prefix = task.prefix.clone();
-                pass_node(
-                    &mut ctx,
-                    &mut prefix,
-                    &task.state,
-                    &task.stab,
-                    &mut local,
-                    &mut None,
-                );
-            }
-            results.lock().expect("pass results poisoned").push(local);
-        };
-        for _ in 1..workers {
-            scope.spawn(work);
-        }
-        work(); // the calling thread claims tasks too
-    });
-    for local in results.into_inner().expect("pass results poisoned") {
+    let workers = fan_out(
+        threads,
+        ready.len(),
+        || (Ctx::new(shared), PassAcc::new(shared.slots)),
+        |(ctx, local), i| {
+            let task = &ready[i];
+            let mut prefix = task.prefix.clone();
+            pass_node(ctx, &mut prefix, &task.state, &task.stab, local, &mut None);
+        },
+    );
+    for (_, local) in workers {
         acc.merge(local);
     }
     acc

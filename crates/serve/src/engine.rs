@@ -6,12 +6,10 @@
 //! computation per key, but a query does more than bound lookup —
 //! searches anneal, enumerations branch-and-bound, certificates
 //! simulate. The engine memoizes the *entire reply row* per canonical
-//! request line, sharded by topology family: concurrent identical
-//! queries from different connections block on one `OnceLock` cell and
-//! share the one computation, while queries about different families
-//! never contend on a shard lock. The shard lock is held only to fetch
-//! the cell; the compute runs outside it, so distinct keys in one family
-//! still evaluate in parallel.
+//! request line in one [`Memo`]: concurrent identical queries from
+//! different connections wait on one cell and share the one
+//! computation. The memo's lock is held only to fetch the cell; the
+//! compute runs outside it, so distinct keys evaluate in parallel.
 //!
 //! Every compute is wrapped in `catch_unwind`: a panicking builder or an
 //! over-cap enumeration becomes a structured error reply, the cell stays
@@ -25,19 +23,9 @@ use sg_search::driver::{search_with_oracle, SearchConfig};
 use sg_search::enumerate::{enumerate_with_group, EnumerateConfig};
 use sg_sim::engine::systolic_gossip_time;
 use std::any::Any;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use systolic_gossip::{Network, Row};
-
-/// One result shard: canonical request line → per-key once-cell. The
-/// `Arc<OnceLock>` split is the same single-flight construction as
-/// `BoundOracle` — lock to fetch the cell, compute outside the lock.
-type Shard = Mutex<HashMap<String, Arc<OnceLock<Arc<Row>>>>>;
-
-/// Number of topology families, and therefore result shards.
-const FAMILY_COUNT: usize = 18;
+use std::sync::Arc;
+use systolic_gossip::{Memo, Network, Row};
 
 /// Size guards on what a single query may ask for. Estimated orders
 /// (never built graphs) are compared against these caps, so an oversized
@@ -78,7 +66,7 @@ impl EngineStats {
     /// `lookups − computes`: queries answered from the memo (or by
     /// waiting on an in-flight computation).
     pub fn hits(&self) -> usize {
-        self.lookups - self.computes
+        self.lookups.saturating_sub(self.computes)
     }
 }
 
@@ -87,9 +75,8 @@ impl EngineStats {
 pub struct QueryEngine {
     cache: BuildCache,
     cfg: EngineConfig,
-    shards: Vec<Shard>,
-    lookups: AtomicUsize,
-    computes: AtomicUsize,
+    /// Canonical request line → reply row.
+    replies: Memo<String, Arc<Row>>,
 }
 
 impl Default for QueryEngine {
@@ -104,9 +91,7 @@ impl QueryEngine {
         Self {
             cache: BuildCache::new(),
             cfg,
-            shards: (0..FAMILY_COUNT).map(|_| Shard::default()).collect(),
-            lookups: AtomicUsize::new(0),
-            computes: AtomicUsize::new(0),
+            replies: Memo::new(),
         }
     }
 
@@ -118,8 +103,8 @@ impl QueryEngine {
     /// Snapshot of the single-flight counters.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            computes: self.computes.load(Ordering::Relaxed),
+            lookups: self.replies.lookups(),
+            computes: self.replies.computes(),
         }
     }
 
@@ -137,23 +122,23 @@ impl QueryEngine {
             }
             Query::Bound { net, .. } => {
                 self.guard(net, self.cfg.max_bound_n, "bound")?;
-                self.memoized(q, net)
+                self.memoized(q)
             }
             Query::Search { net, .. } => {
                 self.guard(net, self.cfg.max_sim_n, "search")?;
-                self.memoized(q, net)
+                self.memoized(q)
             }
             Query::Enumerate { net, .. } => {
                 self.guard(net, self.cfg.max_enumerate_n, "enumerate")?;
-                self.memoized(q, net)
+                self.memoized(q)
             }
             Query::Certificate { net, .. } => {
                 self.guard(net, self.cfg.max_sim_n, "certificate")?;
-                self.memoized(q, net)
+                self.memoized(q)
             }
             Query::Execute { net, .. } => {
                 self.guard(net, self.cfg.max_sim_n, "execute")?;
-                self.memoized(q, net)
+                self.memoized(q)
             }
         }
     }
@@ -170,26 +155,18 @@ impl QueryEngine {
         Ok(())
     }
 
-    /// The single-flight path: canonicalize, shard by family, share one
-    /// compute per key.
-    fn memoized(&self, q: &Query, net: &Network) -> Result<Row, String> {
+    /// The single-flight path: canonicalize, share one compute per key.
+    fn memoized(&self, q: &Query) -> Result<Row, String> {
         let key = Request::new(q.clone()).to_line();
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[family_shard(net)];
-        let cell = Arc::clone(shard.lock().unwrap().entry(key).or_default());
-        // A panicking compute propagates out of `get_or_init` leaving the
-        // cell uninitialized — the next identical query retries, and
-        // *this* query reports the panic as a structured error.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            Arc::clone(cell.get_or_init(|| {
-                self.computes.fetch_add(1, Ordering::Relaxed);
-                Arc::new(self.compute(q))
-            }))
-        }));
-        match outcome {
-            Ok(row) => Ok((*row).clone()),
-            Err(payload) => Err(format!("query failed: {}", panic_text(payload))),
-        }
+        // A panicking compute leaves the memo cell empty — the next
+        // identical query retries, and *this* query reports the panic
+        // as a structured error.
+        catch_unwind(AssertUnwindSafe(|| {
+            self.replies
+                .get_or_compute(key, || Arc::new(self.compute(q)))
+        }))
+        .map(|row| (*row).clone())
+        .map_err(|payload| format!("query failed: {}", panic_text(payload)))
     }
 
     /// The uncached computation behind one memo cell.
@@ -396,31 +373,6 @@ impl QueryEngine {
             .with("protocol_builds", cs.protocol_builds)
             .with("protocol_hits", cs.protocol_hits)
             .with("group_builds", cs.group_builds)
-    }
-}
-
-/// Shard index of a network: its family. Identical queries always land
-/// on one shard; different families never contend.
-fn family_shard(net: &Network) -> usize {
-    match net {
-        Network::Path { .. } => 0,
-        Network::Cycle { .. } => 1,
-        Network::Complete { .. } => 2,
-        Network::DaryTree { .. } => 3,
-        Network::Grid2d { .. } => 4,
-        Network::Torus2d { .. } => 5,
-        Network::Hypercube { .. } => 6,
-        Network::Butterfly { .. } => 7,
-        Network::WrappedButterfly { .. } => 8,
-        Network::WrappedButterflyDirected { .. } => 9,
-        Network::DeBruijn { .. } => 10,
-        Network::DeBruijnDirected { .. } => 11,
-        Network::Kautz { .. } => 12,
-        Network::KautzDirected { .. } => 13,
-        Network::ShuffleExchange { .. } => 14,
-        Network::CubeConnectedCycles { .. } => 15,
-        Network::Knodel { .. } => 16,
-        Network::RandomRegular { .. } => 17,
     }
 }
 

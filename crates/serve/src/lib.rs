@@ -22,7 +22,7 @@
 //! * [`engine`] — the shared [`QueryEngine`]: one
 //!   [`sg_scenario::BuildCache`] (digraphs, diameters, deterministic
 //!   protocols, automorphism groups, the memoizing `BoundOracle`) under
-//!   a family-sharded **single-flight** result memo — N concurrent
+//!   a **single-flight** reply [`systolic_gossip::Memo`] — N concurrent
 //!   identical queries cost exactly one computation;
 //! * [`server`] — the threaded TCP [`Server`]: read/write timeouts, a
 //!   bounded in-flight semaphore that sheds with `"overloaded"`,

@@ -20,7 +20,10 @@
 //! compiled engine for a budget of one thread and on the sliced engine
 //! for more. [`random`] adds the oblivious randomized baselines
 //! (push/pull/exchange over the sparse rows, counter-seeded trials
-//! batched across threads). All engines are
+//! batched across threads). Every one of those parallel loops, and the
+//! batch runner's, annealer's and enumerator's, is one [`fan_out()`]:
+//! claim-by-cursor workers under a thread budget that counts the
+//! calling thread. All engines are
 //! bit-identical to the retained naive oracle in [`mod@reference`],
 //! which the differential conformance suite (`tests/conformance.rs`)
 //! and the property tests enforce. The [`greedy`] module generates
@@ -32,6 +35,7 @@
 pub mod bitset;
 pub mod broadcast;
 pub mod engine;
+pub mod fan_out;
 pub mod greedy;
 pub mod pool;
 pub mod random;
@@ -47,6 +51,7 @@ pub use engine::{
     apply_round, run_protocol, run_systolic, run_systolic_with_horizon, systolic_broadcast_time,
     systolic_gossip_time, systolic_gossip_time_with_horizon, SimResult, Time,
 };
+pub use fan_out::fan_out;
 pub use greedy::{greedy_gossip, GreedyOutcome};
 pub use pool::systolic_gossip_time_pool;
 pub use random::{

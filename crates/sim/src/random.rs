@@ -28,12 +28,11 @@
 //! completed rows retire to zero bytes — random-regular trials at
 //! n = 10⁵ fit comfortably under the large-sim memory ceiling.
 
+use crate::fan_out::fan_out;
 use crate::sparse::SparseKnowledge;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sg_graphs::digraph::Digraph;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Which arcs a vertex's uniform neighbor choice activates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,8 +125,8 @@ pub struct RandomizedConfig {
     /// Round budget per trial; a trial that exhausts it reports
     /// `completed_at = None`.
     pub max_rounds: usize,
-    /// Worker threads for the batch (`0` / `1` → sequential). Never
-    /// affects results, only wall-clock.
+    /// Thread budget for the batch, the calling thread counted (`0` /
+    /// `1` → sequential). Never affects results, only wall-clock.
     pub threads: usize,
     /// Per-trial sparse-state byte ceiling; a trial that exceeds it
     /// aborts (`aborted_mem`). Fixed per trial, so outcomes stay
@@ -210,42 +209,24 @@ pub fn run_trial(
     done(None, max_rounds, peak, false)
 }
 
-/// Runs a batch of independent trials, fanned out over `threads`
-/// workers by an atomic cursor. Results are sorted by trial index and
-/// bit-identical at any thread count (each trial's randomness is keyed
-/// purely by counters).
+/// Runs a batch of independent trials, fanned out over a budget of
+/// `cfg.threads` threads (the calling thread counted). Results are
+/// sorted by trial index and bit-identical at any thread count (each
+/// trial's randomness is keyed purely by counters).
 pub fn run_randomized(g: &Digraph, cfg: &RandomizedConfig) -> Vec<TrialResult> {
-    let threads = cfg.threads.clamp(1, cfg.trials.max(1));
-    if threads <= 1 || cfg.trials <= 1 {
-        return (0..cfg.trials)
-            .map(|t| run_trial(g, cfg.model, cfg.seed, t, cfg.max_rounds, cfg.mem_limit))
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let results = Mutex::new(Vec::with_capacity(cfg.trials));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let t = cursor.fetch_add(1, Ordering::Relaxed);
-                    if t >= cfg.trials {
-                        break;
-                    }
-                    local.push(run_trial(
-                        g,
-                        cfg.model,
-                        cfg.seed,
-                        t,
-                        cfg.max_rounds,
-                        cfg.mem_limit,
-                    ));
-                }
-                results.lock().unwrap().append(&mut local);
-            });
-        }
-    });
-    let mut out = results.into_inner().unwrap();
+    let mut out: Vec<TrialResult> = fan_out(cfg.threads, cfg.trials, Vec::new, |done, t| {
+        done.push(run_trial(
+            g,
+            cfg.model,
+            cfg.seed,
+            t,
+            cfg.max_rounds,
+            cfg.mem_limit,
+        ));
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     out.sort_unstable_by_key(|r| r.trial);
     out
 }

@@ -7,8 +7,8 @@
 //! ~1.5 MiB at n = 5·10⁴, cache-resident where the sparse engine's rows
 //! densify into the n²/8-byte table. Each slice replays the period over
 //! its own state until it completes, reaches its own fixed point, or
-//! exhausts the round budget; slices are claimed through an atomic cursor
-//! by scoped threads. The per-round plan (clean full-duplex pairs,
+//! exhausts the round budget; slices are claimed by [`fan_out`]'s
+//! workers. The per-round plan (clean full-duplex pairs,
 //! residual arcs, snapshot slots) is [`CompiledSchedule`]'s, so
 //! beginning-of-round semantics are the compiled engine's. The min-count
 //! trace is rebuilt from per-round, per-vertex gain counts that each
@@ -26,12 +26,12 @@
 //! restarts from round 0 on this engine in the first round it does not.
 
 use crate::engine::SimResult;
+use crate::fan_out::fan_out;
 use crate::schedule::CompiledSchedule;
 use crate::sparse::{run_sparse, SparseOutcome};
 use sg_graphs::digraph::Arc;
 use sg_protocol::protocol::SystolicProtocol;
 use sg_protocol::round::Round;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Items per slice.
 pub const SLICE_ITEMS: usize = 256;
@@ -190,40 +190,26 @@ fn run_sliced(
     let plan = &plan[..];
     let max_slots = plan.iter().map(|r| r.snap_sources.len()).max().unwrap_or(0);
 
-    let slices = n.div_ceil(SLICE_ITEMS);
-    let cursor = AtomicUsize::new(0);
-    let work = || {
-        let mut sums = ThreadSums::default();
-        let mut rows = vec![[0; SLICE_WORDS]; n + max_slots];
-        loop {
-            // The cursor hands out slice indices and publishes nothing
-            // else, so `Relaxed` suffices.
-            let b = cursor.fetch_add(1, Ordering::Relaxed);
-            if b >= slices {
-                return sums;
-            }
+    // Each worker owns its slice rows and its sums.
+    let per_thread: Vec<ThreadSums> = fan_out(
+        threads,
+        n.div_ceil(SLICE_ITEMS),
+        || (ThreadSums::default(), vec![[0; SLICE_WORDS]; n + max_slots]),
+        |(sums, rows), b| {
             let end = run_slice(
                 plan,
                 n,
                 b,
                 max_rounds,
-                &mut rows,
+                rows,
                 trace.then_some(&mut sums.gains),
             );
             sums.ends.push(end);
-        }
-    };
-    let workers = threads.clamp(1, slices);
-    let per_thread: Vec<ThreadSums> = std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-        let mut all = vec![work()];
-        all.extend(
-            spawned
-                .into_iter()
-                .map(|h| h.join().expect("slice worker panicked")),
-        );
-        all
-    });
+        },
+    )
+    .into_iter()
+    .map(|(sums, _)| sums)
+    .collect();
 
     // Gossip completes when every slice does; otherwise a sequential run
     // stops one idle period after the last change anywhere, or at the
