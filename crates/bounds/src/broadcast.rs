@@ -11,7 +11,7 @@
 //! coincides with `c(s−1)`, because a full-duplex systolic gossip protocol
 //! can be transformed into a bounded-degree broadcast protocol (\[8\]).
 
-use sg_linalg::roots::brent_root;
+use sg_linalg::roots::bisect_increasing;
 
 /// The `d`-bonacci constant `x_d ∈ (1, 2)`: root of
 /// `x^d − x^{d−1} − ⋯ − 1`.
@@ -26,7 +26,9 @@ pub fn dbonacci_root(d: usize) -> f64 {
         // for x ≠ 1: x^d − (x^d − 1)/(x − 1).
         x.powi(d as i32) - (x.powi(d as i32) - 1.0) / (x - 1.0)
     };
-    brent_root(g, 1.0 + 1e-9, 2.0, 1e-14, 200).expect("d-bonacci root bracketed in (1,2)")
+    // g < 0 on (1, x_d) and g > 0 on (x_d, 2]: one sign change, all the
+    // bisection needs.
+    bisect_increasing(g, 1.0 + 1e-9, 2.0).expect("d-bonacci root bracketed in (1,2)")
 }
 
 /// The broadcasting coefficient `c(d) = 1/log₂(x_d)`; broadcast (hence

@@ -70,35 +70,21 @@ pub fn audit(
 ) -> ProtocolAudit {
     let g = network.build();
     let dg = DelayDigraph::periodic(sp);
-    audit_on(network, &g, sp, &dg, max_rounds, opts)
-}
-
-/// [`audit`] on an already-built digraph and delay digraph — the entry
-/// point the scenario batch executor uses so repeated λ-searches over one
-/// protocol share the delay structure instead of rebuilding it per sweep
-/// point.
-pub fn audit_on(
-    network: &Network,
-    g: &sg_graphs::digraph::Digraph,
-    sp: &SystolicProtocol,
-    dg: &DelayDigraph,
-    max_rounds: usize,
-    opts: BoundOpts,
-) -> ProtocolAudit {
     // Only execute protocols that pass validation: invalid arc sets
     // could reference vertices outside the network.
     let measured = sp
-        .validate(g)
+        .validate(&g)
         .is_ok()
         .then(|| systolic_gossip_time(sp, g.vertex_count(), max_rounds))
         .flatten();
-    audit_measured(network, g, sp, dg, measured, opts)
+    audit_measured(network, &g, sp, &dg, measured, opts)
 }
 
-/// [`audit_on`] with the gossip time already measured elsewhere (e.g. by
-/// a completion-curve run over the same deterministic protocol), so
-/// callers that already simulated don't pay for a second execution.
-/// `measured` is ignored when the protocol fails validation.
+/// [`audit`] on an already-built digraph and delay digraph, with the
+/// gossip time already measured elsewhere (e.g. by a completion-curve run
+/// over the same deterministic protocol), so callers that already
+/// simulated don't pay for a second execution. `measured` is ignored
+/// when the protocol fails validation.
 pub fn audit_measured(
     network: &Network,
     g: &sg_graphs::digraph::Digraph,

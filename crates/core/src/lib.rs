@@ -23,6 +23,15 @@
 //! assert!(audit.is_sound());
 //! ```
 //!
+//! ## Where the bounds come from
+//!
+//! [`evaluate_bounds`] composes everything known about a
+//! `(network, mode, period)` — the exact floors, `e(s)` and the
+//! separator coefficient — and [`bound_report`] is that composition on a
+//! freshly built graph. [`BoundOracle`] memoizes it per key for batch
+//! consumers; [`BoundOracle::protocol_bound`] memoizes Theorem 4.1 on a
+//! concrete protocol, which [`audit()`] also reports.
+//!
 //! ## Crate map
 //!
 //! | layer | crate | contents |
@@ -43,16 +52,11 @@ pub mod network;
 pub mod oracle;
 pub mod report;
 
-pub use audit::{audit, audit_measured, audit_on, ProtocolAudit};
+pub use audit::{audit, audit_measured, ProtocolAudit};
 pub use memo::Memo;
 pub use network::Network;
-pub use oracle::{
-    ceil_log2, default_sources, evaluate_bounds, BoundClass, BoundContribution, BoundOracle,
-    BoundQuery, BoundSource, FloorSource, OracleBounds, OracleStats,
-};
-pub use report::{
-    bound_mode, bound_report, bound_report_on, to_csv, to_json_line, BoundReport, Row, Value,
-};
+pub use oracle::{ceil_log2, evaluate_bounds, BoundOracle, FloorSource, OracleBounds, OracleStats};
+pub use report::{bound_mode, bound_report, to_csv, to_json_line, BoundReport, Row, Value};
 
 // Re-export the member crates under their own names for doc linking and
 // downstream use.

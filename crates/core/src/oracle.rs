@@ -1,32 +1,22 @@
-//! The unified bound layer: every lower bound the repository knows,
-//! behind one trait and one memoizing oracle.
+//! The bound layer: every lower bound the repository knows about gossip
+//! on a network, composed by one function and memoized by one oracle.
 //!
-//! Before this module, `bound_report_on` was recomputed independently by
-//! the scenario batch runner (twice), the family-table builder and the
-//! search certifier, and the delay-matrix bounds of Theorem 4.1 never
-//! reached a certificate at all. Now there is exactly one computation
-//! path:
-//!
-//! * [`BoundSource`] — a trait over the individual bounds: the exact
-//!   floors (diameter, `⌈log₂ n⌉` doubling, the degenerate `s = 2`
-//!   linear bound), the asymptotic `e(s)`/λ*/separator coefficients from
-//!   `sg-bounds`, and the `sg-delay` delay-matrix bound on a concrete
-//!   protocol (Theorem 4.1);
-//! * [`evaluate_bounds`] — one uncached evaluation of every default
-//!   source, composed into an [`OracleBounds`] (which embeds the classic
-//!   [`BoundReport`] so every existing streaming surface keeps working);
+//! * [`evaluate_bounds`] — the one uncached composition for a
+//!   `(network, mode, period)`: the exact floors (`⌈log₂ n⌉` doubling,
+//!   diameter, the degenerate `s = 2` linear `n − 1` of Section 4), the
+//!   general `e(s) · log₂ n` coefficient of Corollary 4.4 / Section 6
+//!   (with the characteristic root `λ*` of the periodic delay polynomial
+//!   behind it) and the separator strengthening of Theorem 5.1, in an
+//!   [`OracleBounds`] that embeds the classic [`BoundReport`] every
+//!   streaming surface reads;
 //! * [`BoundOracle`] — the memoizing front door, keyed on
 //!   `(network, mode, period)`. Each key is computed **at most once**
 //!   per oracle (guaranteed by the single-flight [`crate::Memo`], not
 //!   just best-effort caching), which the scenario batch tests assert.
-//!
-//! The bound inventory follows the paper: the general `e(s) · log₂ n`
-//! coefficients of Corollary 4.4 / Section 6 (with the characteristic
-//! root `λ*` of the periodic delay polynomial behind each), the
-//! separator strengthening of Theorem 5.1, the delay-matrix bound of
-//! Theorem 4.1 on a concrete protocol, and the exact small-`n` floors
-//! (diameter, `⌈log₂ n⌉` doubling, the degenerate `s = 2` linear
-//! `n − 1` of Section 4).
+//!   It also memoizes Theorem 4.1 on a concrete protocol's delay matrix
+//!   ([`BoundOracle::protocol_bound`], the bound certificates surface —
+//!   exact, but only for executions of that protocol, so never part of
+//!   the composition) and the family-table coefficient cells.
 //!
 //! ```
 //! use systolic_gossip::sg_bounds::pfun::Period;
@@ -110,231 +100,7 @@ impl FloorSource {
     }
 }
 
-/// What kind of statement a contribution makes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BoundClass {
-    /// Valid at every finite `n`, for every protocol of the mode/period.
-    ExactFloor(FloorSource),
-    /// A `coefficient · log₂ n` figure carrying the paper's
-    /// `−O(log log n)` slack.
-    Asymptotic,
-    /// Exact, but only for executions of the specific protocol in the
-    /// query (Theorem 4.1 on its delay matrix) — never a floor for the
-    /// optimum over all schedules.
-    ProtocolSpecific,
-}
-
-/// One bound produced by one source.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundContribution {
-    /// The producing source's name.
-    pub source: &'static str,
-    /// What the number means.
-    pub class: BoundClass,
-    /// The bound, in rounds.
-    pub rounds: f64,
-    /// The coefficient of `log₂ n` behind `rounds`, for asymptotic
-    /// sources.
-    pub coefficient: Option<f64>,
-    /// The `λ` (root or maximizer) behind the figure, when one exists.
-    pub lambda: Option<f64>,
-    /// The full Theorem 4.1 result, for [`BoundClass::ProtocolSpecific`]
-    /// contributions — kept typed so no consumer re-derives `sg-delay`'s
-    /// formulas from the flattened fields.
-    pub protocol: Option<ProtocolBound>,
-}
-
-/// Everything a source gets to look at.
-pub struct BoundQuery<'a> {
-    /// The network descriptor (names, separator parameters).
-    pub network: &'a Network,
-    /// Its built digraph.
-    pub graph: &'a Digraph,
-    /// Its measured diameter (`None` when not strongly connected).
-    pub diameter: Option<u32>,
-    /// Communication mode under analysis.
-    pub mode: Mode,
-    /// Systolic period (or the non-systolic limit).
-    pub period: Period,
-    /// A concrete protocol, for the protocol-specific sources; `None`
-    /// on the memoized (network, mode, period) path.
-    pub protocol: Option<&'a SystolicProtocol>,
-    /// Numeric options for λ-searches and norm evaluations.
-    pub opts: BoundOpts,
-}
-
-/// One lower-bound producer. Implementations must be pure functions of
-/// the query — the oracle memoizes their merged output.
-pub trait BoundSource: Send + Sync {
-    /// Stable source name (also the `source` field of contributions).
-    fn name(&self) -> &'static str;
-    /// The source's bound for this query, when it applies.
-    fn evaluate(&self, q: &BoundQuery<'_>) -> Option<BoundContribution>;
-}
-
-/// Graph diameter: no item crosses the network faster.
-pub struct DiameterFloor;
-
-impl BoundSource for DiameterFloor {
-    fn name(&self) -> &'static str {
-        "diameter"
-    }
-    fn evaluate(&self, q: &BoundQuery<'_>) -> Option<BoundContribution> {
-        q.diameter.map(|d| BoundContribution {
-            source: self.name(),
-            class: BoundClass::ExactFloor(FloorSource::Diameter),
-            rounds: f64::from(d),
-            coefficient: None,
-            lambda: None,
-            protocol: None,
-        })
-    }
-}
-
-/// `⌈log₂ n⌉`: each processor receives from at most one neighbour per
-/// round in every mode, so knowledge at most doubles.
-pub struct DoublingFloor;
-
-impl BoundSource for DoublingFloor {
-    fn name(&self) -> &'static str {
-        "doubling"
-    }
-    fn evaluate(&self, q: &BoundQuery<'_>) -> Option<BoundContribution> {
-        Some(BoundContribution {
-            source: self.name(),
-            class: BoundClass::ExactFloor(FloorSource::Doubling),
-            rounds: ceil_log2(q.graph.vertex_count()) as f64,
-            coefficient: None,
-            lambda: None,
-            protocol: None,
-        })
-    }
-}
-
-/// The degenerate `s = 2` analysis of Section 4 (directed/half-duplex):
-/// the activated arcs form a fixed directed structure along which items
-/// advance one arc per round, so gossip needs `n − 1` rounds.
-pub struct LinearPeriodTwoFloor;
-
-impl BoundSource for LinearPeriodTwoFloor {
-    fn name(&self) -> &'static str {
-        "linear-s2"
-    }
-    fn evaluate(&self, q: &BoundQuery<'_>) -> Option<BoundContribution> {
-        let n = q.graph.vertex_count();
-        (q.period == Period::Systolic(2) && q.mode != Mode::FullDuplex && n >= 1).then(|| {
-            BoundContribution {
-                source: self.name(),
-                class: BoundClass::ExactFloor(FloorSource::LinearPeriodTwo),
-                rounds: (n - 1) as f64,
-                coefficient: None,
-                lambda: None,
-                protocol: None,
-            }
-        })
-    }
-}
-
-/// `true` when the asymptotic coefficient machinery applies: the `s = 2`
-/// characteristic function degenerates (`λ* → 1`, `e(2) = ∞`) and the
-/// linear floor replaces it.
-fn coefficient_applies(period: Period) -> bool {
-    !matches!(period, Period::Systolic(s) if s < 3)
-}
-
-/// Corollary 4.4 / Section 6: the general `e(s)·log₂ n` bound for any
-/// network.
-pub struct GeneralCoefficient;
-
-impl BoundSource for GeneralCoefficient {
-    fn name(&self) -> &'static str {
-        "general-coefficient"
-    }
-    fn evaluate(&self, q: &BoundQuery<'_>) -> Option<BoundContribution> {
-        if !coefficient_applies(q.period) {
-            return None;
-        }
-        let bm = bound_mode(q.mode);
-        let coeff = e_coefficient(bm, q.period);
-        let log2n = (q.graph.vertex_count() as f64).log2();
-        Some(BoundContribution {
-            source: self.name(),
-            class: BoundClass::Asymptotic,
-            rounds: coeff * log2n,
-            coefficient: Some(coeff),
-            lambda: Some(coefficient_lambda_star(bm, q.period)),
-            protocol: None,
-        })
-    }
-}
-
-/// Theorem 5.1: the separator-strengthened coefficient, for networks
-/// whose family has Lemma 3.1 separator parameters.
-pub struct SeparatorCoefficient;
-
-impl BoundSource for SeparatorCoefficient {
-    fn name(&self) -> &'static str {
-        "separator-coefficient"
-    }
-    fn evaluate(&self, q: &BoundQuery<'_>) -> Option<BoundContribution> {
-        if !coefficient_applies(q.period) {
-            return None;
-        }
-        let params = q.network.separator_params()?;
-        let b = e_separator(params, bound_mode(q.mode), q.period);
-        let log2n = (q.graph.vertex_count() as f64).log2();
-        Some(BoundContribution {
-            source: self.name(),
-            class: BoundClass::Asymptotic,
-            rounds: b.e * log2n,
-            coefficient: Some(b.e),
-            lambda: Some(b.lambda),
-            protocol: None,
-        })
-    }
-}
-
-/// Theorem 4.1 on the delay matrix of the *concrete protocol* in the
-/// query — the `sg-delay` bound that certificates surface. Exact, but
-/// only for executions of that protocol.
-pub struct DelayMatrix;
-
-impl BoundSource for DelayMatrix {
-    fn name(&self) -> &'static str {
-        "delay-matrix"
-    }
-    fn evaluate(&self, q: &BoundQuery<'_>) -> Option<BoundContribution> {
-        let sp = q.protocol?;
-        let dg = DelayDigraph::periodic(sp);
-        let pb = theorem_4_1_bound_from_digraph(&dg, q.graph.vertex_count(), q.opts)?;
-        Some(BoundContribution {
-            source: self.name(),
-            class: BoundClass::ProtocolSpecific,
-            rounds: pb.rounds,
-            coefficient: None,
-            lambda: Some(pb.lambda_star),
-            protocol: Some(pb),
-        })
-    }
-}
-
-/// The default source set, in evaluation order. Exact floors come first
-/// and in the tie-breaking order the certifier documents (doubling, then
-/// diameter, then the linear `s = 2` bound — a later source takes the
-/// floor only by strict improvement).
-pub fn default_sources() -> &'static [&'static dyn BoundSource] {
-    static SOURCES: [&dyn BoundSource; 6] = [
-        &DoublingFloor,
-        &DiameterFloor,
-        &LinearPeriodTwoFloor,
-        &GeneralCoefficient,
-        &SeparatorCoefficient,
-        &DelayMatrix,
-    ];
-    &SOURCES
-}
-
-/// The merged answer for one query.
+/// The merged answer for one `(network, mode, period)`.
 #[derive(Debug, Clone)]
 pub struct OracleBounds {
     /// The classic report (general/separator coefficients, diameter,
@@ -350,94 +116,97 @@ pub struct OracleBounds {
     pub asymptotic_rounds: Option<f64>,
     /// The characteristic root `λ*` behind the general coefficient.
     pub lambda_star: Option<f64>,
-    /// Theorem 4.1 on the query's concrete protocol, when one was given
-    /// and its delay matrix yields a bound.
-    pub protocol_bound: Option<ProtocolBound>,
-    /// Every individual contribution, evaluation order.
-    pub contributions: Vec<BoundContribution>,
 }
 
-/// Evaluates every default source for `q` and composes the answer. This
-/// is the single uncached computation path behind both
-/// [`crate::report::bound_report_on`] and the memoizing [`BoundOracle`].
+/// Every bound on gossip in `mode` with period `period` over `net`, on its
+/// built digraph `g` and measured `diameter` (`None` when not strongly
+/// connected). The one uncached computation behind
+/// [`crate::report::bound_report`] and the memoizing [`BoundOracle`].
 ///
 /// # Panics
-/// Panics when `q.mode` requires a symmetric digraph but the network is
+/// Panics when `mode` requires a symmetric digraph but the network is
 /// directed.
-pub fn evaluate_bounds(q: &BoundQuery<'_>) -> OracleBounds {
+pub fn evaluate_bounds(
+    net: &Network,
+    g: &Digraph,
+    diameter: Option<u32>,
+    mode: Mode,
+    period: Period,
+) -> OracleBounds {
     assert!(
-        !(q.mode.requires_symmetric_graph() && q.network.is_directed()),
+        !(mode.requires_symmetric_graph() && net.is_directed()),
         "{} cannot run in {} mode",
-        q.network.name(),
-        q.mode
+        net.name(),
+        mode
     );
-    let contributions: Vec<BoundContribution> = default_sources()
-        .iter()
-        .filter_map(|s| s.evaluate(q))
-        .collect();
+    let n = g.vertex_count();
 
-    // The floor: exact contributions in source order, replaced only on
-    // strict improvement (so ties keep the earlier, simpler source).
-    let mut floor_rounds = 0usize;
+    // The exact floors in the certifier's tie-breaking order: doubling
+    // (knowledge at most doubles per round), then the diameter, then the
+    // degenerate s = 2 analysis of Section 4 (directed/half-duplex: the
+    // activated arcs form a fixed directed structure along which items
+    // advance one arc per round). A later floor wins only by strict
+    // improvement, so ties keep the earlier, simpler source.
+    let linear =
+        (period == Period::Systolic(2) && mode != Mode::FullDuplex && n >= 1).then(|| n - 1);
+    let mut floor_rounds = ceil_log2(n);
     let mut floor_source = FloorSource::Doubling;
-    for c in &contributions {
-        if let BoundClass::ExactFloor(src) = c.class {
-            let r = c.rounds as usize;
-            if r > floor_rounds {
-                floor_rounds = r;
-                floor_source = src;
-            }
+    for (rounds, source) in [
+        (diameter.map(|d| d as usize), FloorSource::Diameter),
+        (linear, FloorSource::LinearPeriodTwo),
+    ] {
+        if let Some(r) = rounds.filter(|&r| r > floor_rounds) {
+            floor_rounds = r;
+            floor_source = source;
         }
     }
 
-    let find = |name: &str| contributions.iter().find(|c| c.source == name);
-    let general = find("general-coefficient");
-    let separator = find("separator-coefficient");
-    let protocol_bound = find("delay-matrix").and_then(|c| c.protocol);
+    // Corollary 4.4 / Section 6's e(s) and Theorem 5.1's separator
+    // coefficient, for s ≥ 3 or non-systolic: at s = 2 the characteristic
+    // function degenerates (λ* → 1, e(2) = ∞) and the linear floor
+    // replaces both.
+    let log2n = (n as f64).log2();
+    let bm = bound_mode(mode);
+    let coefficients = !matches!(period, Period::Systolic(s) if s < 3);
+    let general = coefficients.then(|| {
+        (
+            e_coefficient(bm, period),
+            coefficient_lambda_star(bm, period),
+        )
+    });
+    let separator_coefficient = net
+        .separator_params()
+        .filter(|_| coefficients)
+        .map(|p| e_separator(p, bm, period).e);
+    let general_coefficient = general.map_or(f64::INFINITY, |(e, _)| e);
+    let general_rounds = general.map_or(f64::INFINITY, |(e, _)| e * log2n);
+    let separator_rounds = separator_coefficient.map(|e| e * log2n);
 
-    let (general_coefficient, general_rounds) = match general {
-        Some(c) => (c.coefficient.unwrap_or(f64::INFINITY), c.rounds),
-        // Degenerate s = 2: e(2) = ∞; the linear floor replaces it.
-        None => (f64::INFINITY, f64::INFINITY),
-    };
-    let (separator_coefficient, separator_rounds) = match separator {
-        Some(c) => (c.coefficient, Some(c.rounds)),
-        None => (None, None),
-    };
+    // The strongest finite figure over the floor and the coefficients.
+    let best_rounds = [general_rounds, separator_rounds.unwrap_or(f64::INFINITY)]
+        .into_iter()
+        .filter(|r| r.is_finite())
+        .fold(floor_rounds as f64, f64::max);
+    let asymptotic_rounds =
+        general.map(|_| separator_rounds.map_or(general_rounds, |s| s.max(general_rounds)));
 
-    // The strongest finite figure over every universally-valid bound
-    // (asymptotic coefficients and exact floors; protocol-specific
-    // bounds only constrain one schedule, never the optimum).
-    let mut best = floor_rounds as f64;
-    for c in &contributions {
-        if matches!(c.class, BoundClass::Asymptotic) && c.rounds.is_finite() {
-            best = best.max(c.rounds);
-        }
-    }
-
-    let asymptotic_rounds = general.map(|g| separator_rounds.map_or(g.rounds, |s| s.max(g.rounds)));
-    let lambda_star = general.and_then(|g| g.lambda);
-
-    let report = BoundReport {
-        network: q.network.name(),
-        n: q.graph.vertex_count(),
-        mode: q.mode,
-        period: q.period,
-        general_coefficient,
-        general_rounds,
-        separator_coefficient,
-        separator_rounds,
-        diameter: q.diameter,
-        best_rounds: best,
-    };
     OracleBounds {
-        report,
+        report: BoundReport {
+            network: net.name(),
+            n,
+            mode,
+            period,
+            general_coefficient,
+            general_rounds,
+            separator_coefficient,
+            separator_rounds,
+            diameter,
+            best_rounds,
+        },
         floor_rounds,
         floor_source,
         asymptotic_rounds,
-        lambda_star,
-        protocol_bound,
-        contributions,
+        lambda_star: general.map(|(_, lambda)| lambda),
     }
 }
 
@@ -475,29 +244,15 @@ type ProtocolKey = (Vec<Round>, Mode, usize);
 /// once.
 #[derive(Debug, Default)]
 pub struct BoundOracle {
-    opts: BoundOpts,
     memo: Memo<Key, Arc<OracleBounds>>,
     protocol_memo: Memo<ProtocolKey, Option<ProtocolBound>>,
     family_memo: Memo<FamilyKey, (f64, bool)>,
 }
 
 impl BoundOracle {
-    /// An empty oracle with default numeric options.
+    /// An empty oracle.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty oracle with explicit λ-search / norm options.
-    pub fn with_opts(opts: BoundOpts) -> Self {
-        Self {
-            opts,
-            ..Self::default()
-        }
-    }
-
-    /// The numeric options every evaluation uses.
-    pub fn opts(&self) -> BoundOpts {
-        self.opts
     }
 
     /// The bounds for `(net, mode, period)` on its built digraph `g` and
@@ -513,15 +268,7 @@ impl BoundOracle {
         period: Period,
     ) -> Arc<OracleBounds> {
         self.memo.get_or_compute((*net, mode, period), || {
-            Arc::new(evaluate_bounds(&BoundQuery {
-                network: net,
-                graph: g,
-                diameter,
-                mode,
-                period,
-                protocol: None,
-                opts: self.opts,
-            }))
+            Arc::new(evaluate_bounds(net, g, diameter, mode, period))
         })
     }
 
@@ -532,7 +279,7 @@ impl BoundOracle {
         let key: ProtocolKey = (sp.period().to_vec(), sp.mode(), n);
         self.protocol_memo.get_or_compute(key, || {
             let dg = DelayDigraph::periodic(sp);
-            theorem_4_1_bound_from_digraph(&dg, n, self.opts)
+            theorem_4_1_bound_from_digraph(&dg, n, BoundOpts::default())
         })
     }
 
@@ -673,6 +420,31 @@ mod tests {
         assert_eq!(c.floor_rounds, 7);
         assert_eq!(c.floor_source, FloorSource::LinearPeriodTwo);
         assert!(c.asymptotic_rounds.is_none(), "s = 2 is degenerate");
+        // Path at s = 2, half-duplex: the linear n − 1 ties the diameter,
+        // so the earlier diameter keeps the floor.
+        let p2 = bounds(
+            &oracle,
+            &Network::Path { n: 8 },
+            Mode::HalfDuplex,
+            Period::Systolic(2),
+        );
+        assert_eq!(
+            (p2.floor_rounds, p2.floor_source),
+            (7, FloorSource::Diameter)
+        );
+        // Cycle at s = 2, full-duplex: no linear floor in this mode, so
+        // the diameter n/2 holds it, and s = 2 still has no coefficient.
+        let c2 = bounds(
+            &oracle,
+            &Network::Cycle { n: 8 },
+            Mode::FullDuplex,
+            Period::Systolic(2),
+        );
+        assert_eq!(
+            (c2.floor_rounds, c2.floor_source),
+            (4, FloorSource::Diameter)
+        );
+        assert!(c2.asymptotic_rounds.is_none());
     }
 
     #[test]
@@ -699,39 +471,6 @@ mod tests {
         let stats = oracle.stats();
         assert_eq!(stats.protocol_lookups, 2);
         assert_eq!(stats.protocol_computes, 1);
-    }
-
-    #[test]
-    fn delay_matrix_source_reaches_the_composed_bounds() {
-        let net = Network::Path { n: 10 };
-        let g = net.build();
-        let sp = sg_protocol::builders::path_rrll(10);
-        let ob = evaluate_bounds(&BoundQuery {
-            network: &net,
-            graph: &g,
-            diameter: sg_graphs::traversal::diameter(&g),
-            mode: Mode::HalfDuplex,
-            period: Period::Systolic(4),
-            protocol: Some(&sp),
-            opts: BoundOpts::default(),
-        });
-        let pb = ob.protocol_bound.expect("Thm 4.1 applies to the RRLL path");
-        assert!(pb.rounds > 1.0);
-        assert!(ob
-            .contributions
-            .iter()
-            .any(|c| c.class == BoundClass::ProtocolSpecific));
-        // Protocol-specific bounds never leak into the universal figure.
-        let without = evaluate_bounds(&BoundQuery {
-            network: &net,
-            graph: &g,
-            diameter: sg_graphs::traversal::diameter(&g),
-            mode: Mode::HalfDuplex,
-            period: Period::Systolic(4),
-            protocol: None,
-            opts: BoundOpts::default(),
-        });
-        assert!((ob.report.best_rounds - without.report.best_rounds).abs() < 1e-12);
     }
 
     #[test]

@@ -41,7 +41,10 @@ pub struct BoundReport {
     pub best_rounds: f64,
 }
 
-/// Computes the full bound report for a network/mode/period.
+/// Computes the full bound report for a network/mode/period: one
+/// uncached [`crate::oracle::evaluate_bounds`] on the freshly built
+/// digraph. Callers with repeated queries should go through the
+/// memoizing [`crate::oracle::BoundOracle`] instead.
 ///
 /// # Panics
 /// Panics when `mode` requires a symmetric digraph but the network is
@@ -49,34 +52,7 @@ pub struct BoundReport {
 pub fn bound_report(network: &Network, mode: Mode, period: Period) -> BoundReport {
     let g = network.build();
     let diameter = traversal::diameter(&g);
-    bound_report_on(network, &g, diameter, mode, period)
-}
-
-/// [`bound_report`] on an already-built digraph with an already-measured
-/// diameter. One uncached evaluation of the bound-source layer — see
-/// [`crate::oracle`]; callers with repeated queries should go through the
-/// memoizing [`crate::oracle::BoundOracle`] instead.
-///
-/// # Panics
-/// Panics when `mode` requires a symmetric digraph but the network is
-/// directed.
-pub fn bound_report_on(
-    network: &Network,
-    g: &sg_graphs::digraph::Digraph,
-    diameter: Option<u32>,
-    mode: Mode,
-    period: Period,
-) -> BoundReport {
-    crate::oracle::evaluate_bounds(&crate::oracle::BoundQuery {
-        network,
-        graph: g,
-        diameter,
-        mode,
-        period,
-        protocol: None,
-        opts: Default::default(),
-    })
-    .report
+    crate::oracle::evaluate_bounds(network, &g, diameter, mode, period).report
 }
 
 /// One typed cell of a streamed result row.
@@ -294,19 +270,6 @@ impl std::fmt::Display for BoundReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bound_report_on_matches_bound_report() {
-        let net = Network::DeBruijn { d: 2, dd: 5 };
-        let g = net.build();
-        let d = sg_graphs::traversal::diameter(&g);
-        let a = bound_report(&net, Mode::HalfDuplex, Period::Systolic(5));
-        let b = bound_report_on(&net, &g, d, Mode::HalfDuplex, Period::Systolic(5));
-        assert_eq!(a.general_rounds, b.general_rounds);
-        assert_eq!(a.separator_rounds, b.separator_rounds);
-        assert_eq!(a.diameter, b.diameter);
-        assert_eq!(a.best_rounds, b.best_rounds);
-    }
 
     #[test]
     fn json_line_escapes_and_types() {

@@ -125,19 +125,23 @@ pub fn lambda_star(dg: &DelayDigraph, _opts: BoundOpts) -> Option<f64> {
     certified_lambda_star(max_delay(dg), |l| dg.matrix(l))
 }
 
-/// Solves `t = (a − b·log₂ t) / c` for the break-even `t ≥ 1` (the RHS is
-/// decreasing in `t`, so `g(t) = t − RHS` is increasing — bisection).
-fn solve_breakeven(a: f64, b: f64, c: f64) -> f64 {
-    debug_assert!(c > 0.0);
-    let g = |t: f64| t - (a - b * t.log2()) / c;
-    if g(1.0) >= 0.0 {
-        return 1.0; // bound degenerates
+/// The break-even `t ≥ t0` of an implicit bound `t ≥ rhs(t)` whose right
+/// side is nonincreasing in `t`, so `g(t) = t − rhs(t)` is increasing:
+/// `t0` itself when `t0 ≥ rhs(t0)` (the bound degenerates), else the root
+/// of `g`, bracketed by doubling from `max(t0, rhs(t0), 2)` and bisected.
+/// Theorems 4.1 and 5.1, the broadcast bound and the Section 7 diameter
+/// bound all end in this solve.
+pub(crate) fn breakeven(t0: f64, rhs: impl Fn(f64) -> f64) -> f64 {
+    let r0 = rhs(t0);
+    if t0 >= r0 {
+        return t0;
     }
-    let mut hi = (a / c).max(2.0);
+    let g = |t: f64| t - rhs(t);
+    let mut hi = t0.max(r0).max(2.0);
     while g(hi) < 0.0 {
         hi *= 2.0;
     }
-    bisect_increasing(g, 1.0, hi).unwrap_or(1.0)
+    bisect_increasing(g, t0, hi).unwrap_or(t0)
 }
 
 /// Theorem 4.1: a lower bound on the gossip time of any execution of `sp`
@@ -164,7 +168,8 @@ pub fn theorem_4_1_bound_from_digraph(
         return None;
     }
     let log2n = (n as f64).log2();
-    let rounds = solve_breakeven(log2n, 2.0, log_inv);
+    // t > (log₂ n − 2·log₂ t) / log₂(1/λ*).
+    let rounds = breakeven(1.0, |t| (log2n - 2.0 * t.log2()) / log_inv);
     Some(ProtocolBound {
         lambda_star: ls,
         log_inv_lambda: log_inv,
@@ -222,22 +227,11 @@ pub fn theorem_5_1_bound(
         }
         let norm = upper.sqrt();
         let log_inv = (1.0 / l).log2();
-        // t ≥ (log₂ c − (d−1)·log₂‖M‖ − log₂(t−d+2) − log₂ t) / log₂(1/λ).
-        // Bisection on the increasing g(t) = t − RHS(t), domain t ≥ d.
-        let rhs = |t: f64| {
+        // t ≥ (log₂ c − (d−1)·log₂‖M‖ − log₂(t−d+2) − log₂ t) / log₂(1/λ),
+        // on the domain t ≥ d.
+        let bound = breakeven(d.max(1.0), |t| {
             (log2c - (d - 1.0) * norm.log2() - (t - d + 2.0).max(1.0).log2() - t.log2()) / log_inv
-        };
-        let g = |t: f64| t - rhs(t);
-        let t0 = d.max(1.0);
-        let bound = if g(t0) >= 0.0 {
-            t0
-        } else {
-            let mut hi = t0.max(rhs(t0)).max(2.0);
-            while g(hi) < 0.0 {
-                hi *= 2.0;
-            }
-            bisect_increasing(g, t0, hi).unwrap_or(t0)
-        };
+        });
         if best.is_none_or(|b| bound > b.rounds) {
             best = Some(SeparatorProtocolBound {
                 lambda: l,
@@ -269,7 +263,7 @@ pub fn broadcast_bound(sp: &SystolicProtocol, n: usize, opts: BoundOpts) -> Opti
         return None;
     }
     let a = 0.5 * ((n - 1) as f64).log2();
-    let rounds = solve_breakeven(a, 1.5, log_inv);
+    let rounds = breakeven(1.0, |t| (a - 1.5 * t.log2()) / log_inv);
     Some(ProtocolBound {
         lambda_star: ls,
         log_inv_lambda: log_inv,

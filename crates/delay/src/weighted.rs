@@ -17,9 +17,8 @@
 //! the adjacency norm is `d`, so `λ* = 1/d` and the bound is
 //! `≈ log_d(n) = D` — the true diameter.
 
-use crate::bound::{certified_lambda_star, BoundOpts};
+use crate::bound::{breakeven, certified_lambda_star, BoundOpts};
 use sg_graphs::weighted::WeightedDigraph;
-use sg_linalg::roots::bisect_increasing;
 use sg_linalg::sparse::{CooBuilder, CsrMatrix};
 
 /// A lower bound on the weighted diameter of a digraph.
@@ -60,21 +59,11 @@ pub fn weighted_diameter_bound(wg: &WeightedDigraph, _opts: BoundOpts) -> Option
     if log_inv <= 0.0 {
         return None;
     }
+    // L ≥ (log₂(n−1) − log₂ L) / log₂(1/λ*).
     let a = ((n - 1) as f64).log2();
-    // Solve L = (a − log₂ L)/log_inv via the increasing g(L) = L − RHS.
-    let g = |l: f64| l - (a - l.log2()) / log_inv;
-    let rounds = if g(1.0) >= 0.0 {
-        1.0
-    } else {
-        let mut top = (a / log_inv).max(2.0);
-        while g(top) < 0.0 {
-            top *= 2.0;
-        }
-        bisect_increasing(g, 1.0, top).unwrap_or(1.0)
-    };
     Some(DiameterBound {
         lambda_star,
-        rounds,
+        rounds: breakeven(1.0, |l| (a - l.log2()) / log_inv),
         first_order: a / log_inv,
     })
 }

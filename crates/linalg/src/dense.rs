@@ -152,41 +152,9 @@ impl DenseMatrix {
         self.data.iter().all(|&v| v >= 0.0)
     }
 
-    /// `true` if the matrix is square and symmetric up to `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Entry-wise `self ≤ rhs` (the partial order of norm property 4).
-    pub fn le_entrywise(&self, rhs: &Self, tol: f64) -> bool {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols));
-        self.data.iter().zip(&rhs.data).all(|(a, b)| *a <= *b + tol)
-    }
-
-    /// Frobenius norm (`√Σ m_{ij}²`) — an upper bound on the spectral norm,
-    /// handy for sanity checks.
-    pub fn frobenius(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Largest absolute entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
-    }
-
-    /// Sum of entries of row `i`.
-    pub fn row_sum(&self, i: usize) -> f64 {
-        self.row(i).iter().sum()
     }
 
     /// Permutes rows by `perm` (row `i` of the result is row `perm[i]` of
@@ -315,19 +283,9 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_checks() {
-        let sym = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 5.0]]);
-        assert!(sym.is_symmetric(0.0));
-        assert!(!sample().is_symmetric(0.0));
-        // Non-square is never symmetric.
-        assert!(!DenseMatrix::zeros(2, 3).is_symmetric(0.0));
-    }
-
-    #[test]
-    fn frobenius_and_max_abs() {
-        let m = sample();
-        assert!((m.frobenius() - (30.0_f64).sqrt()).abs() < 1e-12);
-        assert_eq!(m.max_abs(), 4.0);
+    fn max_abs_is_the_largest_entry() {
+        assert_eq!(sample().max_abs(), 4.0);
+        assert_eq!(sample().scale(-1.0).max_abs(), 4.0);
     }
 
     #[test]
@@ -350,14 +308,6 @@ mod tests {
         let p = m.permute_rows(&[1, 0]).permute_cols(&[1, 0]);
         assert_eq!(p[(0, 0)], 4.0);
         assert_eq!(p[(1, 1)], 1.0);
-    }
-
-    #[test]
-    fn entrywise_order() {
-        let m = sample();
-        let bigger = m.scale(2.0);
-        assert!(m.le_entrywise(&bigger, 0.0));
-        assert!(!bigger.le_entrywise(&m, 0.0));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! dense and CSR sparse matrices over `f64`, a certified Rayleigh /
 //! Collatz–Wielandt bracket on the spectral norm of a nonnegative matrix
 //! (plus plain power-iteration estimates of norms and radii), the gossip
-//! polynomials `p_i(λ) = 1 + λ² + ⋯ + λ^{2i−2}`, robust scalar root
-//! finding (bisection and Brent) and derivative-free 1-D maximization.
+//! polynomials `p_i(λ) = 1 + λ² + ⋯ + λ^{2i−2}`, scalar root finding by
+//! bisection and derivative-free 1-D maximization.
 //!
 //! Everything is deterministic: random starting vectors for power iteration
 //! use a seeded [xorshift](rng::XorShift64) generator so that test failures
@@ -36,15 +36,9 @@ pub mod vector;
 pub use dense::DenseMatrix;
 pub use norm::{spectral_norm_dense, spectral_norm_sparse, spectral_radius_dense, PowerIterOpts};
 pub use optimize::{golden_section_max, maximize_scan_refine};
-pub use poly::{gossip_p, gossip_p_eval, Polynomial};
-pub use roots::{bisect_increasing, brent_root, RootError};
+pub use poly::gossip_p_eval;
+pub use roots::{bisect_increasing, RootError};
 pub use sparse::{CooBuilder, CsrMatrix};
-
-/// Convenience alias used across the workspace: `log₂`.
-#[inline]
-pub fn log2(x: f64) -> f64 {
-    x.log2()
-}
 
 /// Machine-precision-ish comparison helper used across the workspace tests.
 ///
@@ -69,11 +63,5 @@ mod tests {
         assert!(approx_eq(1e12, 1e12 + 1.0, 1e-9));
         assert!(!approx_eq(1.0, 1.1, 1e-9));
         assert!(approx_eq(0.0, 0.0, 1e-15));
-    }
-
-    #[test]
-    fn log2_matches_std() {
-        assert!(approx_eq(log2(8.0), 3.0, 1e-12));
-        assert!(approx_eq(log2(1.0 / 0.618_034), 0.694_242, 1e-5));
     }
 }

@@ -1,4 +1,4 @@
-//! Polynomials and the paper's gossip polynomials `p_i(λ)`.
+//! The paper's gossip polynomials `p_i(λ)`.
 //!
 //! Definition (Section 1/4 of the paper): for any integer `i > 0`,
 //! `p_i(λ) = 1 + λ² + λ⁴ + ⋯ + λ^{2i−2}` — `i` terms with even exponents.
@@ -8,115 +8,7 @@
 //! `p_{i+1}(λ)·p_{j−1}(λ) < p_i(λ)·p_j(λ)` for `i ≥ j` and `λ ∈ (0,1)`,
 //! which is why the worst split of a period `s` is `⌈s/2⌉ / ⌊s/2⌋`.
 
-/// A dense univariate polynomial with `f64` coefficients,
-/// `c₀ + c₁x + c₂x² + ⋯`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Polynomial {
-    coeffs: Vec<f64>,
-}
-
-impl Polynomial {
-    /// Builds from coefficients in ascending-degree order; trailing zeros
-    /// are trimmed.
-    pub fn new(mut coeffs: Vec<f64>) -> Self {
-        while coeffs.len() > 1 && *coeffs.last().unwrap() == 0.0 {
-            coeffs.pop();
-        }
-        if coeffs.is_empty() {
-            coeffs.push(0.0);
-        }
-        Self { coeffs }
-    }
-
-    /// The zero polynomial.
-    pub fn zero() -> Self {
-        Self::new(vec![0.0])
-    }
-
-    /// The monomial `c·x^k`.
-    pub fn monomial(c: f64, k: usize) -> Self {
-        let mut v = vec![0.0; k + 1];
-        v[k] = c;
-        Self::new(v)
-    }
-
-    /// Degree (0 for the zero polynomial, by convention).
-    pub fn degree(&self) -> usize {
-        self.coeffs.len() - 1
-    }
-
-    /// Coefficient view, ascending degree.
-    pub fn coeffs(&self) -> &[f64] {
-        &self.coeffs
-    }
-
-    /// Horner evaluation.
-    pub fn eval(&self, x: f64) -> f64 {
-        self.coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
-    }
-
-    /// Polynomial sum.
-    pub fn add(&self, rhs: &Self) -> Self {
-        let n = self.coeffs.len().max(rhs.coeffs.len());
-        let mut out = vec![0.0; n];
-        for (i, c) in self.coeffs.iter().enumerate() {
-            out[i] += c;
-        }
-        for (i, c) in rhs.coeffs.iter().enumerate() {
-            out[i] += c;
-        }
-        Self::new(out)
-    }
-
-    /// Polynomial product.
-    pub fn mul(&self, rhs: &Self) -> Self {
-        let mut out = vec![0.0; self.coeffs.len() + rhs.coeffs.len() - 1];
-        for (i, a) in self.coeffs.iter().enumerate() {
-            if *a == 0.0 {
-                continue;
-            }
-            for (j, b) in rhs.coeffs.iter().enumerate() {
-                out[i + j] += a * b;
-            }
-        }
-        Self::new(out)
-    }
-
-    /// Scales every coefficient.
-    pub fn scale(&self, a: f64) -> Self {
-        Self::new(self.coeffs.iter().map(|c| a * c).collect())
-    }
-
-    /// Derivative.
-    pub fn derivative(&self) -> Self {
-        if self.coeffs.len() <= 1 {
-            return Self::zero();
-        }
-        Self::new(
-            self.coeffs[1..]
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (i + 1) as f64 * c)
-                .collect(),
-        )
-    }
-}
-
-/// The gossip polynomial `p_i(λ) = 1 + λ² + ⋯ + λ^{2i−2}` as a
-/// [`Polynomial`]. `p_0` is the zero polynomial (empty sum).
-pub fn gossip_p(i: usize) -> Polynomial {
-    if i == 0 {
-        return Polynomial::zero();
-    }
-    let mut coeffs = vec![0.0; 2 * i - 1];
-    for k in 0..i {
-        coeffs[2 * k] = 1.0;
-    }
-    Polynomial::new(coeffs)
-}
-
-/// Direct evaluation of `p_i(λ)` without building the coefficient vector:
-/// the closed form `(1 − λ^{2i}) / (1 − λ²)` for `λ ≠ 1`, else `i`.
+/// `p_i(λ)` by its closed form `(1 − λ^{2i}) / (1 − λ²)` for `λ ≠ 1`, else `i`.
 ///
 /// This is the hot path of every bound computation in `sg-bounds`.
 #[inline]
@@ -136,20 +28,31 @@ mod tests {
     use super::*;
     use crate::approx_eq;
 
+    /// `p_i(λ)` as the paper writes it: `Σ_{k<i} λ^{2k}`.
+    fn direct_sum(i: usize, l: f64) -> f64 {
+        (0..i).map(|k| l.powi(2 * k as i32)).sum()
+    }
+
     #[test]
     fn gossip_p_small_cases() {
-        assert_eq!(gossip_p(1).coeffs(), &[1.0]);
-        assert_eq!(gossip_p(2).coeffs(), &[1.0, 0.0, 1.0]);
-        assert_eq!(gossip_p(3).coeffs(), &[1.0, 0.0, 1.0, 0.0, 1.0]);
+        for &l in &[0.0, 0.5, 2.0] {
+            assert_eq!(gossip_p_eval(0, l), 0.0);
+            assert_eq!(gossip_p_eval(1, l), 1.0);
+            assert_eq!(gossip_p_eval(2, l), 1.0 + l * l);
+            assert!(approx_eq(
+                gossip_p_eval(3, l),
+                1.0 + l * l + l.powi(4),
+                1e-15
+            ));
+        }
     }
 
     #[test]
     fn gossip_p_eval_matches_polynomial() {
         for i in 0..12 {
-            let p = gossip_p(i);
             for &l in &[0.0, 0.1, 0.5, 0.618, 0.9, 0.99, 1.0, 1.5] {
                 assert!(
-                    approx_eq(p.eval(l), gossip_p_eval(i, l), 1e-10),
+                    approx_eq(direct_sum(i, l), gossip_p_eval(i, l), 1e-10),
                     "i={i} lambda={l}"
                 );
             }
@@ -188,25 +91,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn polynomial_arithmetic() {
-        let p = Polynomial::new(vec![1.0, 2.0]); // 1 + 2x
-        let q = Polynomial::new(vec![0.0, 1.0]); // x
-        assert_eq!(p.add(&q).coeffs(), &[1.0, 3.0]);
-        assert_eq!(p.mul(&q).coeffs(), &[0.0, 1.0, 2.0]);
-        assert_eq!(p.scale(2.0).coeffs(), &[2.0, 4.0]);
-        assert_eq!(p.derivative().coeffs(), &[2.0]);
-        assert_eq!(p.eval(3.0), 7.0);
-    }
-
-    #[test]
-    fn trailing_zero_trim() {
-        let p = Polynomial::new(vec![1.0, 0.0, 0.0]);
-        assert_eq!(p.degree(), 0);
-        assert_eq!(Polynomial::zero().degree(), 0);
-        assert_eq!(Polynomial::monomial(3.0, 4).degree(), 4);
     }
 
     #[test]

@@ -45,19 +45,6 @@ impl XorShift64 {
         // 53 high-quality mantissa bits.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Uniform in `(lo, hi)`.
-    #[inline]
-    pub fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-
-    /// Uniform integer in `[0, n)`; `n` must be nonzero.
-    #[inline]
-    pub fn below(&mut self, n: usize) -> usize {
-        debug_assert!(n > 0);
-        (self.next_u64() % n as u64) as usize
-    }
 }
 
 #[cfg(test)]
@@ -88,14 +75,6 @@ mod tests {
         // Must not get stuck at zero.
         assert_ne!(r.next_u64(), 0);
         assert_ne!(r.next_u64(), r.next_u64());
-    }
-
-    #[test]
-    fn below_is_in_range() {
-        let mut r = XorShift64::new(99);
-        for _ in 0..1000 {
-            assert!(r.below(17) < 17);
-        }
     }
 
     #[test]

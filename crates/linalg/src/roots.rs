@@ -4,23 +4,20 @@
 //! equation `λ·√(p_{⌈s/2⌉}(λ))·√(p_{⌊s/2⌋}(λ)) = 1` (Corollary 4.4), the
 //! full-duplex chain `λ + λ² + ⋯ + λ^{s−1} = 1` (Lemma 6.1), the
 //! broadcasting characteristic `x^d = x^{d−1} + ⋯ + 1` — is a monotone
-//! scalar equation on an interval, so plain bisection is already
-//! bulletproof; Brent's method is provided for speed and cross-checking.
+//! scalar equation on an interval, so plain bisection is bulletproof and
+//! the one root finder every caller uses.
 
 /// Errors from the root finders.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RootError {
     /// `f(lo)` and `f(hi)` do not bracket a root (no sign change).
     NoBracket,
-    /// The iteration budget was exhausted before reaching tolerance.
-    NoConvergence,
 }
 
 impl std::fmt::Display for RootError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RootError::NoBracket => write!(f, "interval endpoints do not bracket a root"),
-            RootError::NoConvergence => write!(f, "root finder did not converge"),
         }
     }
 }
@@ -63,81 +60,6 @@ pub fn bisect_increasing(
     Ok(0.5 * (lo + hi))
 }
 
-/// Brent's method: bracketing root finder combining bisection, secant and
-/// inverse quadratic interpolation. Works for any continuous `f` with a
-/// sign change on `[a, b]`.
-pub fn brent_root(
-    mut f: impl FnMut(f64) -> f64,
-    a: f64,
-    b: f64,
-    tol: f64,
-    max_iters: usize,
-) -> Result<f64, RootError> {
-    let (mut a, mut b) = (a, b);
-    let mut fa = f(a);
-    let mut fb = f(b);
-    if fa == 0.0 {
-        return Ok(a);
-    }
-    if fb == 0.0 {
-        return Ok(b);
-    }
-    if fa * fb > 0.0 {
-        return Err(RootError::NoBracket);
-    }
-    // Ensure |f(b)| <= |f(a)|: b is the best iterate.
-    if fa.abs() < fb.abs() {
-        std::mem::swap(&mut a, &mut b);
-        std::mem::swap(&mut fa, &mut fb);
-    }
-    let mut c = a;
-    let mut fc = fa;
-    let mut mflag = true;
-    let mut d = 0.0_f64;
-    for _ in 0..max_iters {
-        if fb == 0.0 || (b - a).abs() < tol {
-            return Ok(b);
-        }
-        let mut s = if fa != fc && fb != fc {
-            // Inverse quadratic interpolation.
-            a * fb * fc / ((fa - fb) * (fa - fc))
-                + b * fa * fc / ((fb - fa) * (fb - fc))
-                + c * fa * fb / ((fc - fa) * (fc - fb))
-        } else {
-            // Secant.
-            b - fb * (b - a) / (fb - fa)
-        };
-        let lo = (3.0 * a + b) / 4.0;
-        let cond1 = !((lo.min(b) < s) && (s < lo.max(b)));
-        let cond2 = mflag && (s - b).abs() >= (b - c).abs() / 2.0;
-        let cond3 = !mflag && (s - b).abs() >= (c - d).abs() / 2.0;
-        let cond4 = mflag && (b - c).abs() < tol;
-        let cond5 = !mflag && (c - d).abs() < tol;
-        if cond1 || cond2 || cond3 || cond4 || cond5 {
-            s = 0.5 * (a + b);
-            mflag = true;
-        } else {
-            mflag = false;
-        }
-        let fs = f(s);
-        d = c;
-        c = b;
-        fc = fb;
-        if fa * fs < 0.0 {
-            b = s;
-            fb = fs;
-        } else {
-            a = s;
-            fa = fs;
-        }
-        if fa.abs() < fb.abs() {
-            std::mem::swap(&mut a, &mut b);
-            std::mem::swap(&mut fa, &mut fb);
-        }
-    }
-    Err(RootError::NoConvergence)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,38 +83,5 @@ mod tests {
             bisect_increasing(|x| x + 10.0, 0.0, 1.0),
             Err(RootError::NoBracket)
         );
-    }
-
-    #[test]
-    fn brent_matches_bisect_on_golden_ratio() {
-        // 1/λ = golden ratio ⟺ λ² + λ − 1 = 0 on (0,1): λ = 0.6180339887…
-        let f = |l: f64| l * l + l - 1.0;
-        let b1 = bisect_increasing(f, 0.0, 1.0).unwrap();
-        let b2 = brent_root(f, 0.0, 1.0, 1e-15, 200).unwrap();
-        assert!(approx_eq(b1, 0.618_033_988_749_894_8, 1e-14));
-        assert!(approx_eq(b1, b2, 1e-12));
-    }
-
-    #[test]
-    fn brent_cubic() {
-        // x³ = x² + x + 1 has its real root ("tribonacci constant") at
-        // 1.839286755…; used by broadcasting c(3).
-        let r = brent_root(|x| x * x * x - x * x - x - 1.0, 1.0, 2.0, 1e-15, 200).unwrap();
-        assert!(approx_eq(r, 1.839_286_755_214_161, 1e-12));
-    }
-
-    #[test]
-    fn brent_rejects_bad_bracket() {
-        assert_eq!(
-            brent_root(|x| x * x + 1.0, -1.0, 1.0, 1e-12, 100),
-            Err(RootError::NoBracket)
-        );
-    }
-
-    #[test]
-    fn brent_discontinuous_still_brackets() {
-        // Brent on a step function converges to the jump location.
-        let r = brent_root(|x| if x < 0.3 { -1.0 } else { 1.0 }, 0.0, 1.0, 1e-12, 500).unwrap();
-        assert!((r - 0.3).abs() < 1e-9);
     }
 }

@@ -216,25 +216,6 @@ impl CsrMatrix {
     pub fn max_abs(&self) -> f64 {
         self.vals.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
     }
-
-    /// Maximum row sum (`‖A‖_∞` for nonnegative matrices) — a cheap upper
-    /// bound on the spectral radius used to bracket power iteration.
-    pub fn max_row_sum(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| self.row_entries(i).map(|(_, v)| v.abs()).sum::<f64>())
-            .fold(0.0_f64, f64::max)
-    }
-
-    /// Maximum column (absolute) sum, `‖A‖₁`.
-    pub fn max_col_sum(&self) -> f64 {
-        let mut sums = vec![0.0_f64; self.cols];
-        for i in 0..self.rows {
-            for (j, v) in self.row_entries(i) {
-                sums[j] += v.abs();
-            }
-        }
-        sums.into_iter().fold(0.0_f64, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -308,8 +289,6 @@ mod tests {
     #[test]
     fn norms_bounds() {
         let m = sample();
-        assert_eq!(m.max_row_sum(), 4.0);
-        assert_eq!(m.max_col_sum(), 4.0);
         assert_eq!(m.max_abs(), 4.0);
         assert!(m.is_nonnegative());
     }

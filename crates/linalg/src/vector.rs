@@ -36,19 +36,6 @@ pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Maximum absolute component (`‖x‖_∞`).
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
-}
-
-/// Component-wise `x ≤ y` check with a tolerance, used for the paper's
-/// semi-eigenvector inequality `Mx ≤ e·x` (Definition 2.2).
-pub fn le_componentwise(x: &[f64], y: &[f64], tol: f64) -> bool {
-    debug_assert_eq!(x.len(), y.len());
-    x.iter().zip(y).all(|(a, b)| *a <= *b + tol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,18 +66,5 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[1.0, 3.0], &mut y);
         assert_eq!(y, vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn inf_norm() {
-        assert_eq!(norm_inf(&[-4.0, 2.0, 3.0]), 4.0);
-        assert_eq!(norm_inf(&[]), 0.0);
-    }
-
-    #[test]
-    fn componentwise_le() {
-        assert!(le_componentwise(&[1.0, 2.0], &[1.0, 2.5], 1e-12));
-        assert!(!le_componentwise(&[1.1, 2.0], &[1.0, 2.5], 1e-12));
-        assert!(le_componentwise(&[1.0 + 1e-13, 2.0], &[1.0, 2.0], 1e-12));
     }
 }

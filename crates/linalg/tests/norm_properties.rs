@@ -117,7 +117,7 @@ proptest! {
         // x = ones; e = max row sum makes (Mx)_i = rowsum_i <= e.
         let n = m.rows();
         let x = vec![1.0; n];
-        let e = (0..n).map(|i| m.row_sum(i)).fold(0.0_f64, f64::max);
+        let e = (0..n).map(|i| m.row(i).iter().sum::<f64>()).fold(0.0_f64, f64::max);
         prop_assert!(is_semi_eigenvector(&m, &x, e + 1e-12, 1e-9));
         let rho = spectral_radius_dense(&m, OPTS);
         prop_assert!(rho <= e + 1e-6 * (1.0 + e));

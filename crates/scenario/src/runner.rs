@@ -67,11 +67,12 @@ use systolic_gossip::{audit_measured, ceil_log2, Network, Row};
 pub struct BatchOptions {
     /// Thread *budget* — the global budget shared by unit-level fan-out
     /// and within-unit parallelism (`0` = one per available core,
-    /// capped at 16). Every thread budget in the workspace follows one
-    /// rule, [`sg_sim::fan_out()`]'s: a budget of `t` means `t` threads
-    /// working, the calling thread counted — `t − 1` are spawned and the
-    /// caller works too — so a budget of 1 runs strictly sequentially
-    /// and spawns nothing.
+    /// capped at 16: the one place in the workspace where `0` means
+    /// that; every other thread budget reads `0` as sequential). Every
+    /// thread budget follows one rule, [`sg_sim::fan_out()`]'s: a budget
+    /// of `t` means `t` threads working, the calling thread counted —
+    /// `t − 1` are spawned and the caller works too — so a budget of 1
+    /// runs strictly sequentially and spawns nothing.
     pub threads: usize,
     /// Thread budget within one unit (`0` = derive: leftover budget
     /// when there are fewer units than threads): the item-sliced

@@ -70,5 +70,9 @@ fn bound_rows_match_the_golden_file() {
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(g, w, "row {} differs from the golden file", i + 1);
     }
-    assert_eq!(got.len(), want.len(), "row count differs from the golden file");
+    assert_eq!(
+        got.len(),
+        want.len(),
+        "row count differs from the golden file"
+    );
 }

@@ -48,9 +48,10 @@ pub struct SearchConfig {
     /// Simulation round budget per evaluation (`0` = derive `40·n + 200`,
     /// the conformance suite's generous default).
     pub sim_budget: usize,
-    /// Thread budget across chains, the calling thread counted (`0` =
-    /// one per available core, capped at 16). Results are identical for
-    /// every value.
+    /// Thread budget across chains, the calling thread counted (`0` and
+    /// `1` both mean sequential; only `BatchOptions::threads` in
+    /// `sg-scenario` reads `0` as one per core). Results are identical
+    /// for every value.
     pub threads: usize,
 }
 
@@ -84,17 +85,6 @@ impl SearchConfig {
             self.sim_budget
         } else {
             40 * n + 200
-        }
-    }
-
-    fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .min(16)
         }
     }
 }
@@ -281,7 +271,7 @@ pub fn search_with_oracle(
     };
 
     let mut results: Vec<(usize, ChainResult)> =
-        fan_out(cfg.effective_threads(), jobs.len(), Vec::new, |done, i| {
+        fan_out(cfg.threads, jobs.len(), Vec::new, |done, i| {
             let (p, r) = jobs[i];
             let start = start_of(p, r);
             done.push((

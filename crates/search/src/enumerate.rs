@@ -156,8 +156,10 @@ pub struct EnumerateConfig {
     /// Hard cap on visited search-tree nodes (same rationale).
     pub max_nodes: usize,
     /// Thread budget for the exhaustive pass: the calling thread plus
-    /// `threads − 1` scoped workers. `0` and `1` both mean sequential.
-    /// Results are bit-identical at any budget; only wall-clock varies.
+    /// `threads − 1` scoped workers. `0` and `1` both mean sequential
+    /// (only `BatchOptions::threads` in `sg-scenario` reads `0` as one
+    /// per core). Results are bit-identical at any budget; only
+    /// wall-clock varies.
     pub threads: usize,
 }
 

@@ -28,7 +28,7 @@ fn same_seed_same_result_across_thread_counts() {
     ];
     for (net, mode) in cases {
         let single = search(&net, mode, &cfg(42, 1));
-        for threads in [2, 4, 7] {
+        for threads in [0, 2, 4, 7] {
             let multi = search(&net, mode, &cfg(42, threads));
             assert_eq!(
                 single.best.period(),

@@ -125,8 +125,10 @@ pub struct RandomizedConfig {
     /// Round budget per trial; a trial that exhausts it reports
     /// `completed_at = None`.
     pub max_rounds: usize,
-    /// Thread budget for the batch, the calling thread counted (`0` /
-    /// `1` → sequential). Never affects results, only wall-clock.
+    /// Thread budget for the batch, the calling thread counted (`0` and
+    /// `1` both mean sequential; only `BatchOptions::threads` in
+    /// `sg-scenario` reads `0` as one per core). Never affects results,
+    /// only wall-clock.
     pub threads: usize,
     /// Per-trial sparse-state byte ceiling; a trial that exceeds it
     /// aborts (`aborted_mem`). Fixed per trial, so outcomes stay
