@@ -201,3 +201,115 @@ fn dense_compare_rows_are_identical_across_unit_thread_budgets() {
     );
     assert_eq!(one, run(2));
 }
+
+/// The `large-sim` and `curve` rows (bar `elapsed_ms`) of three
+/// large-sim units, pinned byte for byte: Knödel W(10, 2048), whose rows
+/// stay interval runs to the end; Q₁₂ full-duplex, whose exchange pairs
+/// double every row each round; and RR(4096, 3, 7), whose rows densify
+/// so the driver hands off to the item-sliced engine. `rounds_run` and
+/// `peak_state_bytes` depend on how the sparse rows are stored, not just
+/// on what they hold; the registry's n = 10⁵ and 2²⁰ instances are too
+/// slow for a debug build, so this is what holds those figures.
+#[test]
+fn large_sim_rows_are_pinned() {
+    let scenarios = [
+        Scenario {
+            mode: Mode::FullDuplex,
+            networks: vec![
+                Network::Knodel { delta: 10, n: 2048 },
+                Network::Hypercube { k: 12 },
+            ],
+            ..simulate_scenario(Network::Cycle { n: 3 })
+        },
+        simulate_scenario(Network::RandomRegular {
+            n: 4096,
+            d: 3,
+            seed: 7,
+        }),
+    ];
+    let opts = BatchOptions {
+        threads: 1,
+        large_sim_min_n: 2048,
+        ..BatchOptions::default()
+    };
+    let report = run_batch(&scenarios, &opts);
+    let lines: Vec<String> = report
+        .outcomes
+        .iter()
+        .flat_map(|o| &o.rows)
+        .map(|r| {
+            let mut r = r.clone();
+            r.fields.retain(|(name, _)| name != "elapsed_ms");
+            systolic_gossip::to_json_line(&r)
+        })
+        .collect();
+    assert_eq!(lines, PINNED_LARGE_SIM_ROWS);
+}
+
+/// Recorded from the run above; see the test for what each unit covers.
+const PINNED_LARGE_SIM_ROWS: [&str; 64] = [
+    r#"{"kind":"large-sim","network":"W(10,2048)","n":2048,"s":10,"protocol_mode":"full-duplex","engine":"sparse","measured_rounds":12,"rounds_run":12,"peak_state_bytes":49120,"aborted_mem":false,"verdict":"completed"}"#,
+    r#"{"kind":"curve","network":"W(10,2048)","round":1,"min":2}"#,
+    r#"{"kind":"curve","network":"W(10,2048)","round":2,"min":4}"#,
+    r#"{"kind":"curve","network":"W(10,2048)","round":3,"min":8}"#,
+    r#"{"kind":"curve","network":"W(10,2048)","round":4,"min":16}"#,
+    r#"{"kind":"curve","network":"W(10,2048)","round":5,"min":32}"#,
+    r#"{"kind":"curve","network":"W(10,2048)","round":6,"min":64}"#,
+    r#"{"kind":"curve","network":"W(10,2048)","round":7,"min":128}"#,
+    r#"{"kind":"curve","network":"W(10,2048)","round":8,"min":256}"#,
+    r#"{"kind":"curve","network":"W(10,2048)","round":9,"min":512}"#,
+    r#"{"kind":"curve","network":"W(10,2048)","round":10,"min":1024}"#,
+    r#"{"kind":"curve","network":"W(10,2048)","round":11,"min":2046}"#,
+    r#"{"kind":"curve","network":"W(10,2048)","round":12,"min":2048}"#,
+    r#"{"kind":"large-sim","network":"Q_12","n":4096,"s":12,"protocol_mode":"full-duplex","engine":"sparse","measured_rounds":12,"rounds_run":12,"peak_state_bytes":32768,"aborted_mem":false,"verdict":"completed"}"#,
+    r#"{"kind":"curve","network":"Q_12","round":1,"min":2}"#,
+    r#"{"kind":"curve","network":"Q_12","round":2,"min":4}"#,
+    r#"{"kind":"curve","network":"Q_12","round":3,"min":8}"#,
+    r#"{"kind":"curve","network":"Q_12","round":4,"min":16}"#,
+    r#"{"kind":"curve","network":"Q_12","round":5,"min":32}"#,
+    r#"{"kind":"curve","network":"Q_12","round":6,"min":64}"#,
+    r#"{"kind":"curve","network":"Q_12","round":7,"min":128}"#,
+    r#"{"kind":"curve","network":"Q_12","round":8,"min":256}"#,
+    r#"{"kind":"curve","network":"Q_12","round":9,"min":512}"#,
+    r#"{"kind":"curve","network":"Q_12","round":10,"min":1024}"#,
+    r#"{"kind":"curve","network":"Q_12","round":11,"min":2048}"#,
+    r#"{"kind":"curve","network":"Q_12","round":12,"min":4096}"#,
+    r#"{"kind":"large-sim","network":"RR(4096,3;7)","n":4096,"s":10,"protocol_mode":"half-duplex","engine":"sparse","measured_rounds":72,"rounds_run":72,"peak_state_bytes":166072,"aborted_mem":false,"verdict":"completed"}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":1,"min":1}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":3,"min":1}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":5,"min":1}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":7,"min":2}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":9,"min":3}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":11,"min":4}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":13,"min":7}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":15,"min":11}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":17,"min":17}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":19,"min":22}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":21,"min":22}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":23,"min":40}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":25,"min":55}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":27,"min":74}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":29,"min":99}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":31,"min":99}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":33,"min":170}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":35,"min":242}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":37,"min":332}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":39,"min":425}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":41,"min":425}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":43,"min":696}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":45,"min":921}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":47,"min":1273}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":49,"min":1523}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":51,"min":1523}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":53,"min":2209}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":55,"min":2733}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":57,"min":3217}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":59,"min":3508}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":61,"min":3508}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":63,"min":3937}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":65,"min":4059}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":67,"min":4087}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":69,"min":4091}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":71,"min":4092}"#,
+    r#"{"kind":"curve","network":"RR(4096,3;7)","round":72,"min":4096}"#,
+];
