@@ -10,7 +10,7 @@
 //! the `compiled` schedule hot path, the `sliced` 256-item-slice engine
 //! on several threads (what the batch runner runs for a dense gossip
 //! time at n ≥ 2048 given more than one thread), and the run-compressed
-//! `sparse` delta engine. One short run (hypercube, 11 rounds) and two
+//! `sparse` row engine. One short run (hypercube, 11 rounds) and two
 //! long ones (de Bruijn colouring, grid traffic light at 127 rounds)
 //! bracket the compiled-versus-sliced choice. A second group,
 //! `sim_large`, records the large-instance driver's production sizes —

@@ -256,7 +256,7 @@ pub fn registry() -> Vec<Scenario> {
         // ——— Large-n sparse-engine scenarios ———
         Scenario::new(
             "sim-large-knodel",
-            "Knödel gossip at n = 10⁵ and 2²⁰ through the sparse delta engine",
+            "Knödel gossip at n = 10⁵ and 2²⁰ through the sparse row engine",
             Task::Simulate,
             Mode::FullDuplex,
         )

@@ -30,7 +30,7 @@
 //! compare units on a 16-thread budget runs 3 units × 5 slice threads
 //! instead of 3 × 1. Simulate units at large order never materialize the
 //! n²-bit table. They run `sg_sim::sliced::run_systolic_large`, which
-//! picks the engine by memory with no knob: the sparse delta engine
+//! picks the engine by memory with no knob: the sparse row engine
 //! while its row state stays within one 256-item slice's working set
 //! (n · 32 bytes), then, from the first round it does not, a restart on
 //! the item-sliced engine across the unit's thread budget. The four
@@ -151,7 +151,7 @@ const WITHIN_UNIT_PARALLEL_MIN_N: usize = 2048;
 /// The default of [`BatchOptions::large_sim_min_n`]: from this order
 /// up, a simulate unit abandons the dense `Knowledge` table (n² bits —
 /// 125 GB at n = 10⁶) and the Ω(n²) bound/audit machinery for the
-/// sparse delta engine and, once its rows stop compressing, the
+/// sparse row engine and, once its rows stop compressing, the
 /// item-sliced engine: exact completion times without the n²-bit
 /// table.
 const LARGE_SIM_MIN_N: usize = 50_000;
@@ -1120,7 +1120,7 @@ fn simulate_unit(net: &Network, cx: &UnitCx) -> NetOut {
 }
 
 /// Simulate unit for networks at or beyond `opts.large_sim_min_n`:
-/// runs the large-instance driver (sparse delta engine, handing off to
+/// runs the large-instance driver (sparse row engine, handing off to
 /// the item-sliced engine on `sim_threads` threads once rows stop
 /// compressing) and reports completion plus resource telemetry.
 /// Everything Ω(n²) is deliberately absent — no dense `Knowledge`
@@ -1195,7 +1195,7 @@ fn simulate_large_unit(net: &Network, cx: &UnitCx, n: usize) -> UnitOut {
             mib(h.slice_bytes),
         ),
         None => format!(
-            "sparse delta engine (peak state {:.2} MiB stayed within one slice's {:.2} MiB)",
+            "sparse row engine (peak state {:.2} MiB stayed within one slice's {:.2} MiB)",
             mib(out.peak_bytes),
             mib(slice_bytes(n)),
         ),

@@ -9,8 +9,9 @@
 //! each round's arc list, snapshot plan, and reusable buffers once per
 //! systolic period, so replaying a round allocates nothing. [`sparse`]
 //! drops the O(n²)-bit table entirely — rows become sorted item runs
-//! with exact delta propagation (only arcs whose source changed since
-//! their last application are re-applied), which is what
+//! (spilling to words when they scatter, retiring to a zero-byte marker
+//! when complete), and one synchronous step over an arc list serves
+//! both systolic periods and randomized rounds, which is what
 //! makes n = 10⁶ structured instances simulable. [`sliced`] covers the
 //! unstructured ones, whose rows do not compress: it replays the period
 //! per 256-item slice in O(n) words per thread, and its
@@ -66,6 +67,6 @@ pub use schedule::CompiledSchedule;
 pub use sliced::{run_systolic_large, run_systolic_sliced, slice_bytes, SLICE_ITEMS};
 pub use sparse::{
     run_systolic_sparse, run_systolic_sparse_with_limit, systolic_gossip_time_sparse, Handoff,
-    SparseEngine, SparseKnowledge, SparseOutcome,
+    SparseKnowledge, SparseOutcome,
 };
 pub use trace::{knowledge_curve, knowledge_curve_pool, RoundStats};

@@ -64,8 +64,8 @@ pub struct CompiledSchedule {
     /// Most snapshot slots any round needs.
     max_slots: usize,
     /// One reusable buffer, `max_slots × words` wide, refilled per round.
-    /// Allocated by the first [`Self::apply`]: the sparse and sliced
-    /// engines reuse the round plan but never touch the dense buffer.
+    /// Allocated by the first [`Self::apply`]: the sliced engine reuses
+    /// the round plan but never touches the dense buffer.
     snap_buf: Vec<u64>,
 }
 
@@ -79,7 +79,7 @@ impl CompiledSchedule {
         let words = n.div_ceil(64).max(1);
         let mut compiled = Vec::with_capacity(rounds.len());
         let mut max_slots = 0usize;
-        // Scratch shared across rounds; entries touched by a round are
+        // Buffers shared across rounds; entries touched by a round are
         // reset after it (O(arcs), not O(n) per round).
         const NONE: u32 = u32::MAX;
         let mut occur = vec![0u32; n]; // endpoint appearance count
@@ -182,11 +182,6 @@ impl CompiledSchedule {
 
     pub(crate) fn round(&self, time: usize) -> &CompiledRound {
         &self.rounds[time % self.rounds.len()]
-    }
-
-    /// Most snapshot slots any single round needs.
-    pub(crate) fn max_slots(&self) -> usize {
-        self.max_slots
     }
 
     /// Applies the round at `time` (cyclically) to `k`. Allocation-free.

@@ -4,8 +4,8 @@
 //! Under Definition 3.1 every item spreads on its own, so a round can run
 //! on any subset of the items without the rest. This engine runs the
 //! items in slices of [`SLICE_ITEMS`] = 256 — four words per vertex,
-//! ~1.5 MiB at n = 5·10⁴, cache-resident where the sparse engine's rows
-//! densify into the n²/8-byte table. Each slice replays the period over
+//! ~1.5 MiB at n = 5·10⁴, cache-resident where the sparse row table's
+//! rows densify into the n²/8-byte table. Each slice replays the period over
 //! its own state until it completes, reaches its own fixed point, or
 //! exhausts the round budget; slices are claimed by [`fan_out`]'s
 //! workers. The per-round plan (clean full-duplex pairs,
@@ -21,9 +21,10 @@
 //! list touches sit close together. The relabelling is an isomorphism —
 //! completion time and the min-count trace do not change.
 //!
-//! [`run_systolic_large`] is the large-instance driver: it runs the
-//! sparse engine while its state fits in one slice's working set and
-//! restarts from round 0 on this engine in the first round it does not.
+//! [`run_systolic_large`] is the large-instance driver: it steps the
+//! sparse row table ([`crate::sparse::SparseKnowledge`]) over the period
+//! while its state fits in one slice's working set and restarts from
+//! round 0 on this engine in the first round it does not.
 
 use crate::engine::SimResult;
 use crate::fan_out::fan_out;

@@ -1,41 +1,35 @@
-//! Sparse delta engine: million-vertex gossip without the dense matrix.
+//! Sparse row table: million-vertex gossip without the dense matrix.
 //!
 //! The dense [`Knowledge`] table is `n²` bits — 125 GB at n = 10⁶ —
 //! which caps every dense engine around n ≈ 3·10⁴. But the knowledge
 //! sets arising from structured protocols are extremely regular: under a
 //! hypercube sweep or a Knödel exchange a row is a union of a handful of
-//! *intervals* of item indices, whatever `n` is. This engine therefore
-//! keeps each row as one of three shapes: a sorted list of disjoint
-//! half-open runs `[start, end)`, a dense word block (a row whose run
-//! list outgrew the `⌈n/64⌉`-word memory-parity point spills once and
-//! stays dense), or `Full` — a completed row retires to a zero-byte
-//! marker, incoming arcs short-circuit, and outgoing arcs complete their
-//! targets in O(1).
+//! *intervals* of item indices, whatever `n` is. [`SparseKnowledge`]
+//! therefore keeps each row as one of three shapes: a sorted list of
+//! disjoint half-open runs `[start, end)`, a dense word block (a row
+//! whose run list outgrew the `⌈n/64⌉`-word memory-parity point spills
+//! once and stays dense), or `Full` — a completed row retires to a
+//! zero-byte marker, incoming arcs short-circuit, and outgoing arcs
+//! complete their targets in O(1).
 //!
-//! Propagation is exact *frontier* (delta) propagation: per-vertex
-//! version counters bumped at end-of-round, per-arc `seen` versions,
-//! per-pair version pairs, and a fixed-point early exit once a whole
-//! period changes nothing. On top of that, a row that changed records
-//! *which runs were added* in that bump. An arc whose `seen` version is exactly one
-//! behind its source then unions only that delta into its target —
-//! exact, because `seen = v−1` certifies the target already contains the
-//! source's version-`v−1` content, so the delta is all the arc could
-//! transfer. Deltas are tracked through pure run algebra; a merge that
-//! goes through a dense block falls back to full-row unions (the version
-//! counters still skip all idle arcs), so every path stays bit-exact
-//! against [`crate::reference`] — the conformance suite compares raw
-//! tables via [`SparseEngine::to_dense`].
+//! One step, [`SparseKnowledge::apply_round`], executes a synchronous
+//! round over any `(from, to)` arc list under Definition 3.1. Systolic
+//! runs ([`run_systolic_sparse`]) build the period's arc lists once and
+//! step it cyclically, stopping at completion or at a fixed point once a
+//! whole period changes nothing; randomized trials ([`crate::random`])
+//! step it over a fresh arc list every round. The conformance suite
+//! compares its raw tables with [`crate::reference`]'s via
+//! [`SparseKnowledge::to_dense`].
 //!
 //! Rows of unstructured protocols do not stay runs: on a random regular
 //! graph they spill to dense and the state climbs to the n²/8 bytes of
 //! the dense table. The large-instance driver
-//! ([`crate::sliced::run_systolic_large`]) therefore keeps this engine
+//! ([`crate::sliced::run_systolic_large`]) therefore keeps this table
 //! only while its state fits in one 256-item slice's working set and
 //! restarts on the item-sliced engine from the first round it does not.
 
 use crate::bitset::Knowledge;
 use crate::engine::SimResult;
-use crate::schedule::CompiledSchedule;
 use sg_protocol::protocol::SystolicProtocol;
 
 /// One row of the sparse knowledge table.
@@ -47,21 +41,6 @@ enum RowRep {
     Dense(Box<[u64]>),
     /// Retired row: knows every item; stores nothing.
     Full,
-}
-
-/// A borrowed view of a source row (live, snapshot, or delta runs).
-enum SrcView<'a> {
-    Full,
-    Runs(&'a [(u32, u32)]),
-    Dense(&'a [u64]),
-}
-
-fn view_of(rep: &RowRep) -> SrcView<'_> {
-    match rep {
-        RowRep::Full => SrcView::Full,
-        RowRep::Runs(r) => SrcView::Runs(r),
-        RowRep::Dense(d) => SrcView::Dense(d),
-    }
 }
 
 fn rep_bytes(rep: &RowRep) -> usize {
@@ -102,54 +81,6 @@ fn run_union(a: &[(u32, u32)], b: &[(u32, u32)], out: &mut Vec<(u32, u32)>) {
     if let Some(c) = cur {
         out.push(c);
     }
-}
-
-/// `out = a \ b` for sorted disjoint run lists.
-fn run_subtract(a: &[(u32, u32)], b: &[(u32, u32)], out: &mut Vec<(u32, u32)>) {
-    out.clear();
-    let mut j = 0usize;
-    for &(start, end) in a {
-        let mut s = start;
-        while j < b.len() && b[j].1 <= s {
-            j += 1;
-        }
-        // `b[k]` may extend past this a-run into the next one, so scan
-        // with a local index and leave `j` at the first still-relevant run.
-        let mut k = j;
-        while s < end {
-            if k >= b.len() || b[k].0 >= end {
-                out.push((s, end));
-                break;
-            }
-            let (bs, be) = b[k];
-            if bs > s {
-                out.push((s, bs));
-            }
-            if be >= end {
-                break;
-            }
-            s = be;
-            k += 1;
-        }
-    }
-}
-
-/// Sorts a list of pairwise-disjoint runs and coalesces adjacency.
-fn normalize_runs(r: &mut Vec<(u32, u32)>) {
-    if r.len() <= 1 {
-        return;
-    }
-    r.sort_unstable();
-    let mut w = 0usize;
-    for i in 1..r.len() {
-        if r[i].0 <= r[w].1 {
-            r[w].1 = r[w].1.max(r[i].1);
-        } else {
-            w += 1;
-            r[w] = r[i];
-        }
-    }
-    r.truncate(w + 1);
 }
 
 /// ORs `runs` into a word block; returns the number of bits added.
@@ -193,24 +124,19 @@ fn runs_to_dense(words: usize, runs: &[(u32, u32)]) -> Box<[u64]> {
     d
 }
 
-/// Reusable merge scratch. `added_a`/`exact_a` describe what the first
-/// (or only) written row gained, `added_b`/`exact_b` the second (pair
-/// merges). `exact` means the added runs are the complete delta; inexact
-/// merges (anything through a dense block) invalidate the target's
-/// pending delta instead.
-#[derive(Debug, Default)]
-struct Scratch {
-    union: Vec<(u32, u32)>,
-    added_a: Vec<(u32, u32)>,
-    added_b: Vec<(u32, u32)>,
-    exact_a: bool,
-    exact_b: bool,
-}
-
-/// The sparse knowledge table: rows, counts, and the completion /
-/// memory accounting that replaces `Knowledge`'s O(n) scans.
+/// The sparse knowledge table: run, dense or full rows, their counts,
+/// and the completion and memory accounting that replaces
+/// `Knowledge`'s O(n) scans. [`Self::apply_round`] executes one
+/// *synchronous* round over an arbitrary arc list under strict
+/// beginning-of-round semantics (Definition 3.1): every new row is
+/// computed from the old table before any row is installed, so a vertex
+/// that both sends and receives in the same round transfers exactly its
+/// start-of-round knowledge, whatever the arc order. Rows stay interval
+/// runs while knowledge is structured, spill once to `⌈n/64⌉` words when
+/// it scatters (which randomized gossip and random regular graphs do),
+/// and retire to zero bytes when complete.
 #[derive(Debug)]
-struct SparseState {
+pub struct SparseKnowledge {
     n: usize,
     words: usize,
     /// Run count above which a row spills to dense (memory parity).
@@ -221,252 +147,6 @@ struct SparseState {
     incomplete: usize,
     /// Approximate heap bytes of all row representations.
     bytes: usize,
-}
-
-impl SparseState {
-    fn new(n: usize) -> Self {
-        let words = n.div_ceil(64).max(1);
-        let rows: Vec<RowRep> = (0..n)
-            .map(|v| {
-                if n == 1 {
-                    RowRep::Full
-                } else {
-                    RowRep::Runs(vec![(v as u32, v as u32 + 1)])
-                }
-            })
-            .collect();
-        Self {
-            n,
-            words,
-            spill: words.max(16),
-            bytes: rows.iter().map(rep_bytes).sum(),
-            counts: vec![if n == 0 { 0 } else { 1 }; n],
-            incomplete: if n <= 1 { 0 } else { n },
-            rows,
-        }
-    }
-
-    /// Removes row `v` for rebuilding (bytes unaccounted until
-    /// [`Self::install`] puts a replacement back).
-    fn take(&mut self, v: usize) -> RowRep {
-        let r = std::mem::replace(&mut self.rows[v], RowRep::Full);
-        self.bytes -= rep_bytes(&r);
-        r
-    }
-
-    /// Installs row `v` with its new count, retiring it to [`RowRep::Full`]
-    /// when complete.
-    fn install(&mut self, v: usize, rep: RowRep, count: usize) {
-        let full = count == self.n;
-        let rep = if full { RowRep::Full } else { rep };
-        self.bytes += rep_bytes(&rep);
-        if full && (self.counts[v] as usize) < self.n {
-            self.incomplete -= 1;
-        }
-        self.counts[v] = count as u32;
-        self.rows[v] = rep;
-    }
-
-    fn make_full(&mut self, v: usize) {
-        let _ = self.take(v);
-        self.install(v, RowRep::Full, self.n);
-    }
-
-    /// Clean full-duplex pair merge: both rows end at their union.
-    /// Returns per-endpoint changed flags; the added runs (and their
-    /// exactness) land in `sc.added_a`/`sc.added_b` for `u`/`v`.
-    fn merge_pair(&mut self, u: usize, v: usize, sc: &mut Scratch) -> (bool, bool) {
-        sc.added_a.clear();
-        sc.added_b.clear();
-        sc.exact_a = true;
-        sc.exact_b = true;
-        let n = self.n;
-        let (cu0, cv0) = (self.counts[u] as usize, self.counts[v] as usize);
-        if cu0 == n && cv0 == n {
-            return (false, false);
-        }
-        if cu0 == n {
-            self.make_full(v);
-            sc.exact_b = false;
-            return (false, true);
-        }
-        if cv0 == n {
-            self.make_full(u);
-            sc.exact_a = false;
-            return (true, false);
-        }
-        let ru = self.take(u);
-        let rv = self.take(v);
-        match (ru, rv) {
-            (RowRep::Runs(a), RowRep::Runs(b)) => {
-                run_subtract(&b, &a, &mut sc.added_a);
-                run_subtract(&a, &b, &mut sc.added_b);
-                let (cu, cv) = (!sc.added_a.is_empty(), !sc.added_b.is_empty());
-                if !cu && !cv {
-                    self.install(u, RowRep::Runs(a), cu0);
-                    self.install(v, RowRep::Runs(b), cv0);
-                    return (false, false);
-                }
-                run_union(&a, &b, &mut sc.union);
-                let count = cu0 + run_len(&sc.added_a);
-                if sc.union.len() > self.spill {
-                    let d = runs_to_dense(self.words, &sc.union);
-                    self.install(u, RowRep::Dense(d.clone()), count);
-                    self.install(v, RowRep::Dense(d), count);
-                } else {
-                    self.install(u, RowRep::Runs(sc.union.clone()), count);
-                    self.install(v, RowRep::Runs(sc.union.clone()), count);
-                }
-                (cu, cv)
-            }
-            (ru, rv) => {
-                // At least one dense side: go through a word block. The
-                // added bits are not extracted as runs, so both deltas
-                // turn inexact (version skipping still applies).
-                sc.exact_a = false;
-                sc.exact_b = false;
-                let mut w = match ru {
-                    RowRep::Dense(d) => d,
-                    RowRep::Runs(r) => runs_to_dense(self.words, &r),
-                    RowRep::Full => unreachable!("full rows handled above"),
-                };
-                let added_u = match &rv {
-                    RowRep::Dense(d) => or_count(&mut w, d),
-                    RowRep::Runs(r) => dense_set_runs(&mut w, r),
-                    RowRep::Full => unreachable!("full rows handled above"),
-                };
-                let count = cu0 + added_u;
-                self.install(u, RowRep::Dense(w.clone()), count);
-                self.install(v, RowRep::Dense(w), count);
-                (count > cu0, count > cv0)
-            }
-        }
-    }
-
-    /// `t ← t ∪ view`. Returns `(changed, exact)`; exact added runs (for
-    /// the delta bookkeeping) land in `sc.added_a`.
-    fn absorb_view(&mut self, t: usize, view: SrcView<'_>, sc: &mut Scratch) -> (bool, bool) {
-        sc.added_a.clear();
-        let c0 = self.counts[t] as usize;
-        if c0 == self.n {
-            return (false, true);
-        }
-        match view {
-            SrcView::Full => {
-                self.make_full(t);
-                (true, false)
-            }
-            SrcView::Runs(src) => match self.take(t) {
-                RowRep::Runs(a) => {
-                    run_subtract(src, &a, &mut sc.added_a);
-                    if sc.added_a.is_empty() {
-                        self.install(t, RowRep::Runs(a), c0);
-                        return (false, true);
-                    }
-                    run_union(&a, src, &mut sc.union);
-                    let count = c0 + run_len(&sc.added_a);
-                    if sc.union.len() > self.spill {
-                        self.install(
-                            t,
-                            RowRep::Dense(runs_to_dense(self.words, &sc.union)),
-                            count,
-                        );
-                    } else {
-                        self.install(t, RowRep::Runs(sc.union.clone()), count);
-                    }
-                    (true, true)
-                }
-                RowRep::Dense(mut d) => {
-                    let added = dense_set_runs(&mut d, src);
-                    self.install(t, RowRep::Dense(d), c0 + added);
-                    (added > 0, false)
-                }
-                RowRep::Full => unreachable!("count < n"),
-            },
-            SrcView::Dense(src) => {
-                let mut d = match self.take(t) {
-                    RowRep::Dense(d) => d,
-                    RowRep::Runs(a) => runs_to_dense(self.words, &a),
-                    RowRep::Full => unreachable!("count < n"),
-                };
-                let added = or_count(&mut d, src);
-                self.install(t, RowRep::Dense(d), c0 + added);
-                (added > 0, false)
-            }
-        }
-    }
-
-    /// `t ← t ∪ runs` (the delta fast path).
-    fn absorb_runs(&mut self, t: usize, runs: &[(u32, u32)], sc: &mut Scratch) -> (bool, bool) {
-        self.absorb_view(t, SrcView::Runs(runs), sc)
-    }
-
-    /// `t ← t ∪ from` off `from`'s live row (valid when `from` is not
-    /// written this round — the compiled snapshot plan guarantees it).
-    fn absorb_from(&mut self, t: usize, from: usize, sc: &mut Scratch) -> (bool, bool) {
-        debug_assert_ne!(t, from, "compile drops self-loops");
-        if matches!(self.rows[from], RowRep::Full) {
-            sc.added_a.clear();
-            if self.counts[t] as usize == self.n {
-                return (false, true);
-            }
-            self.make_full(t);
-            return (true, false);
-        }
-        // Move the source row out so the table can be mutated; the row
-        // itself is untouched and restored as-is (bytes net zero).
-        let src = std::mem::replace(&mut self.rows[from], RowRep::Full);
-        let r = self.absorb_view(t, view_of(&src), sc);
-        self.rows[from] = src;
-        r
-    }
-}
-
-/// Expands a sparse table into a dense [`Knowledge`] (tests and small-n
-/// diagnostics only — this is the allocation the sparse engines exist to
-/// avoid).
-fn state_to_dense(state: &SparseState) -> Knowledge {
-    let n = state.n;
-    let words = state.words;
-    let mut k = Knowledge::initial(n);
-    let tail_mask = if n.is_multiple_of(64) {
-        !0u64
-    } else {
-        (1u64 << (n % 64)) - 1
-    };
-    let bits = k.bits_mut();
-    for v in 0..n {
-        let row = &mut bits[v * words..(v + 1) * words];
-        match &state.rows[v] {
-            RowRep::Runs(r) => {
-                row.fill(0);
-                dense_set_runs(row, r);
-            }
-            RowRep::Dense(d) => row.copy_from_slice(d),
-            RowRep::Full => {
-                row.fill(!0);
-                row[words - 1] = tail_mask;
-            }
-        }
-    }
-    k
-}
-
-/// The sparse knowledge table without a schedule: for engines whose arc
-/// sets are generated on the fly — randomized gossip draws a fresh arc
-/// set every round, so there is no compiled period to key frontier
-/// versions on. [`Self::apply_round`] executes one *synchronous* round
-/// over an arbitrary arc list under strict beginning-of-round semantics
-/// (Definition 3.1): every new row is computed from the old table before
-/// any row is installed, so a vertex that both sends and receives in the
-/// same round transfers exactly its start-of-round knowledge, whatever
-/// the arc order. Rows use the same run/dense/full shapes as
-/// [`SparseEngine`] — interval runs while knowledge is structured, a
-/// one-time spill to `⌈n/64⌉` words when it scatters (which randomized
-/// gossip does), and zero-byte retirement for completed rows.
-#[derive(Debug)]
-pub struct SparseKnowledge {
-    state: SparseState,
     /// Per-round `(target, source)` pairs, sorted so each target's
     /// sources are contiguous.
     grouped: Vec<(u32, u32)>,
@@ -480,8 +160,24 @@ pub struct SparseKnowledge {
 impl SparseKnowledge {
     /// The initial state: every processor knows exactly its own item.
     pub fn new(n: usize) -> Self {
+        let rows: Vec<RowRep> = (0..n)
+            .map(|v| {
+                if n == 1 {
+                    RowRep::Full
+                } else {
+                    RowRep::Runs(vec![(v as u32, v as u32 + 1)])
+                }
+            })
+            .collect();
+        let words = n.div_ceil(64).max(1);
         Self {
-            state: SparseState::new(n),
+            n,
+            words,
+            spill: words.max(16),
+            bytes: rows.iter().map(rep_bytes).sum(),
+            counts: vec![if n == 0 { 0 } else { 1 }; n],
+            incomplete: if n <= 1 { 0 } else { n },
+            rows,
             grouped: Vec::new(),
             updates: Vec::new(),
             acc: Vec::new(),
@@ -491,32 +187,28 @@ impl SparseKnowledge {
 
     /// Network size.
     pub fn n(&self) -> usize {
-        self.state.n
+        self.n
     }
 
     /// `true` when every processor knows every item (O(1)).
     pub fn all_complete(&self) -> bool {
-        self.state.incomplete == 0
+        self.incomplete == 0
     }
 
     /// Number of items processor `v` knows.
     pub fn count(&self, v: usize) -> usize {
-        self.state.counts[v] as usize
+        self.counts[v] as usize
     }
 
-    /// Minimum knowledge count over processors.
+    /// Minimum knowledge count over processors (O(n) over the count
+    /// vector, not the rows).
     pub fn min_count(&self) -> usize {
-        self.state
-            .counts
-            .iter()
-            .map(|&c| c as usize)
-            .min()
-            .unwrap_or(0)
+        self.counts.iter().map(|&c| c as usize).min().unwrap_or(0)
     }
 
     /// Does processor `v` know item `item`?
     pub fn knows(&self, v: usize, item: usize) -> bool {
-        match &self.state.rows[v] {
+        match &self.rows[v] {
             RowRep::Full => true,
             RowRep::Runs(r) => r
                 .binary_search_by(|&(s, e)| {
@@ -535,22 +227,60 @@ impl SparseKnowledge {
 
     /// Approximate heap footprint of the row representations.
     pub fn state_bytes(&self) -> usize {
-        self.state.bytes
+        self.bytes
     }
 
-    /// Expands into a dense [`Knowledge`] (tests and small n only).
+    /// Expands into a dense [`Knowledge`] (tests and small-n diagnostics
+    /// only — this is the allocation the sparse table exists to avoid).
     pub fn to_dense(&self) -> Knowledge {
-        state_to_dense(&self.state)
+        let (n, words) = (self.n, self.words);
+        let mut k = Knowledge::initial(n);
+        let tail_mask = if n.is_multiple_of(64) {
+            !0u64
+        } else {
+            (1u64 << (n % 64)) - 1
+        };
+        let bits = k.bits_mut();
+        for v in 0..n {
+            let row = &mut bits[v * words..(v + 1) * words];
+            match &self.rows[v] {
+                RowRep::Runs(r) => {
+                    row.fill(0);
+                    dense_set_runs(row, r);
+                }
+                RowRep::Dense(d) => row.copy_from_slice(d),
+                RowRep::Full => {
+                    row.fill(!0);
+                    row[words - 1] = tail_mask;
+                }
+            }
+        }
+        k
+    }
+
+    /// Replaces row `v` with `rep` and its new `count`, retiring it to
+    /// [`RowRep::Full`] when complete; keeps the byte and completion
+    /// accounting exact.
+    fn install(&mut self, v: usize, rep: RowRep, count: usize) {
+        let full = count == self.n;
+        let rep = if full { RowRep::Full } else { rep };
+        self.bytes -= rep_bytes(&self.rows[v]);
+        self.bytes += rep_bytes(&rep);
+        if full && (self.counts[v] as usize) < self.n {
+            self.incomplete -= 1;
+        }
+        self.counts[v] = count as u32;
+        self.rows[v] = rep;
     }
 
     /// Applies one synchronous round of `(from, to)` transfers. Targets
     /// read beginning-of-round source state only; duplicate arcs and
     /// self-loops are ignored. Returns `true` if anything changed.
     pub fn apply_round(&mut self, arcs: &[(u32, u32)]) -> bool {
-        let n = self.state.n;
+        let n = self.n;
         self.grouped.clear();
         for &(from, to) in arcs {
-            if from != to && (self.state.counts[to as usize] as usize) < n {
+            if from != to && (self.counts[to as usize] as usize) < n {
                 self.grouped.push((to, from));
             }
         }
@@ -570,30 +300,30 @@ impl SparseKnowledge {
             let sources = &self.grouped[i..j];
             i = j;
             let ti = t as usize;
-            let c0 = self.state.counts[ti] as usize;
+            let c0 = self.counts[ti] as usize;
             // Any full source completes the target outright.
             if sources
                 .iter()
-                .any(|&(_, f)| matches!(self.state.rows[f as usize], RowRep::Full))
+                .any(|&(_, f)| matches!(self.rows[f as usize], RowRep::Full))
             {
                 self.updates.push((t, RowRep::Full, n as u32));
                 continue;
             }
-            let dense_involved = matches!(self.state.rows[ti], RowRep::Dense(_))
+            let dense_involved = matches!(self.rows[ti], RowRep::Dense(_))
                 || sources
                     .iter()
-                    .any(|&(_, f)| matches!(self.state.rows[f as usize], RowRep::Dense(_)));
+                    .any(|&(_, f)| matches!(self.rows[f as usize], RowRep::Dense(_)));
             if dense_involved {
                 // Word-block path: clone the target's row and OR every
                 // source in, counting added bits as we go.
-                let mut w = match &self.state.rows[ti] {
+                let mut w = match &self.rows[ti] {
                     RowRep::Dense(d) => d.clone(),
-                    RowRep::Runs(r) => runs_to_dense(self.state.words, r),
+                    RowRep::Runs(r) => runs_to_dense(self.words, r),
                     RowRep::Full => unreachable!("count < n"),
                 };
                 let mut added = 0usize;
                 for &(_, f) in sources {
-                    added += match &self.state.rows[f as usize] {
+                    added += match &self.rows[f as usize] {
                         RowRep::Dense(d) => or_count(&mut w, d),
                         RowRep::Runs(r) => dense_set_runs(&mut w, r),
                         RowRep::Full => unreachable!("full sources handled above"),
@@ -607,11 +337,11 @@ impl SparseKnowledge {
             }
             // All-runs path: fold the sources into the target's run list.
             self.acc.clear();
-            if let RowRep::Runs(r) = &self.state.rows[ti] {
+            if let RowRep::Runs(r) = &self.rows[ti] {
                 self.acc.extend_from_slice(r);
             }
             for &(_, f) in sources {
-                let RowRep::Runs(src) = &self.state.rows[f as usize] else {
+                let RowRep::Runs(src) = &self.rows[f as usize] else {
                     unreachable!("non-runs sources handled above");
                 };
                 run_union(&self.acc, src, &mut self.acc_next);
@@ -619,291 +349,22 @@ impl SparseKnowledge {
             }
             let count = run_len(&self.acc);
             if count > c0 {
-                let rep = if self.acc.len() > self.state.spill {
-                    RowRep::Dense(runs_to_dense(self.state.words, &self.acc))
+                let rep = if self.acc.len() > self.spill {
+                    RowRep::Dense(runs_to_dense(self.words, &self.acc))
                 } else {
                     RowRep::Runs(self.acc.clone())
                 };
                 self.updates.push((t, rep, count as u32));
             }
         }
-        // Phase 2: install. `take`/`install` keep the byte and
-        // completion accounting exact and retire full rows to zero bytes.
+        // Phase 2: install.
         let changed = !self.updates.is_empty();
-        for (t, rep, count) in self.updates.drain(..) {
-            let ti = t as usize;
-            let _ = self.state.take(ti);
-            self.state.install(ti, rep, count as usize);
+        let mut updates = std::mem::take(&mut self.updates);
+        for (t, rep, count) in updates.drain(..) {
+            self.install(t as usize, rep, count as usize);
         }
+        self.updates = updates;
         changed
-    }
-}
-
-/// The sparse engine: a compiled schedule, the sparse table, and the
-/// frontier staleness state (versions, per-arc/per-pair seen marks,
-/// per-row last-bump deltas). Owns its knowledge state — build one per
-/// execution.
-#[derive(Debug)]
-pub struct SparseEngine {
-    sched: CompiledSchedule,
-    state: SparseState,
-    /// Per-vertex row version; starts at 1, bumped at end-of-round.
-    ver: Vec<u64>,
-    /// `seen[round][arc]`: source version last absorbed; 0 = never.
-    seen: Vec<Vec<u64>>,
-    /// `seen_pairs[round][pair]`: endpoint versions at the last merge.
-    seen_pairs: Vec<Vec<(u64, u64)>>,
-    /// Runs added by each row's latest version bump (valid iff
-    /// `delta_ok`); version 1's delta is the initial single-item run.
-    deltas: Vec<Vec<(u32, u32)>>,
-    delta_ok: Vec<bool>,
-    /// In-round accumulators for the next delta.
-    pending: Vec<Vec<(u32, u32)>>,
-    pending_ok: Vec<bool>,
-    /// Reusable per-round scratch.
-    active: Vec<bool>,
-    slot_needed: Vec<bool>,
-    /// Snapshot slots: row representations cloned at round start.
-    snap: Vec<RowRep>,
-    changed_targets: Vec<u32>,
-    target_changed: Vec<bool>,
-    sc: Scratch,
-}
-
-impl SparseEngine {
-    /// Builds the engine (and its initial knowledge state) for one
-    /// compiled schedule.
-    pub fn new(sched: CompiledSchedule) -> Self {
-        let n = sched.n();
-        let seen: Vec<Vec<u64>> = (0..sched.round_count())
-            .map(|t| vec![0u64; sched.round(t).arcs.len()])
-            .collect();
-        let seen_pairs: Vec<Vec<(u64, u64)>> = (0..sched.round_count())
-            .map(|t| vec![(0u64, 0u64); sched.round(t).pairs.len()])
-            .collect();
-        let max_arcs = seen.iter().map(Vec::len).max().unwrap_or(0);
-        let max_slots = sched.max_slots();
-        Self {
-            state: SparseState::new(n),
-            ver: vec![1u64; n],
-            seen,
-            seen_pairs,
-            // Version 1 added the initial content {v} relative to the
-            // empty row, so first-contact arcs ride the delta path too.
-            deltas: (0..n).map(|v| vec![(v as u32, v as u32 + 1)]).collect(),
-            delta_ok: vec![n > 1; n],
-            pending: vec![Vec::new(); n],
-            pending_ok: vec![true; n],
-            active: vec![false; max_arcs],
-            slot_needed: vec![false; max_slots],
-            snap: vec![RowRep::Full; max_slots],
-            changed_targets: Vec::new(),
-            target_changed: vec![false; n],
-            sc: Scratch::default(),
-            sched,
-        }
-    }
-
-    /// Convenience: compile one systolic period and wrap it.
-    pub fn for_protocol(sp: &SystolicProtocol, n: usize) -> Self {
-        Self::new(CompiledSchedule::compile(sp.period(), n))
-    }
-
-    /// Network size.
-    pub fn n(&self) -> usize {
-        self.state.n
-    }
-
-    /// The period length.
-    pub fn round_count(&self) -> usize {
-        self.sched.round_count()
-    }
-
-    /// `true` when every processor knows every item (O(1)).
-    pub fn all_complete(&self) -> bool {
-        self.state.incomplete == 0
-    }
-
-    /// Number of items processor `v` knows.
-    pub fn count(&self, v: usize) -> usize {
-        self.state.counts[v] as usize
-    }
-
-    /// Minimum knowledge count over processors (O(n) over the count
-    /// vector, not the bit table).
-    pub fn min_count(&self) -> usize {
-        self.state
-            .counts
-            .iter()
-            .map(|&c| c as usize)
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Approximate heap footprint of the row representations.
-    pub fn state_bytes(&self) -> usize {
-        self.state.bytes
-    }
-
-    /// Expands the sparse table into a dense [`Knowledge`] (tests and
-    /// small-n diagnostics only — this is the allocation the engine
-    /// exists to avoid).
-    pub fn to_dense(&self) -> Knowledge {
-        state_to_dense(&self.state)
-    }
-
-    /// Applies the round at `time` (cyclically). Bit-identical to the
-    /// dense engines; returns `true` if anything changed.
-    pub fn apply(&mut self, time: usize) -> bool {
-        if self.sched.round_count() == 0 {
-            return false;
-        }
-        let idx = time % self.sched.round_count();
-        let n = self.state.n;
-        let r = self.sched.round(idx);
-        // Pass 0: clean full-duplex pairs, with the frontier's version
-        // skipping (the merge is the only writer of either endpoint).
-        for (j, &(u, v)) in r.pairs.iter().enumerate() {
-            let (ui, vi) = (u as usize, v as usize);
-            let vs = (self.ver[ui], self.ver[vi]);
-            if self.seen_pairs[idx][j] == vs {
-                continue;
-            }
-            let (cu, cv) = self.state.merge_pair(ui, vi, &mut self.sc);
-            self.seen_pairs[idx][j] = (vs.0 + u64::from(cu), vs.1 + u64::from(cv));
-            if cu {
-                note_change(
-                    u,
-                    self.sc.exact_a,
-                    &self.sc.added_a,
-                    &mut self.changed_targets,
-                    &mut self.target_changed,
-                    &mut self.pending,
-                    &mut self.pending_ok,
-                );
-            }
-            if cv {
-                note_change(
-                    v,
-                    self.sc.exact_b,
-                    &self.sc.added_b,
-                    &mut self.changed_targets,
-                    &mut self.target_changed,
-                    &mut self.pending,
-                    &mut self.pending_ok,
-                );
-            }
-        }
-        // Pass 1: arc liveness off beginning-of-round versions. Arcs
-        // into retired (full) targets fast-forward their seen mark: a
-        // complete row trivially contains any source version.
-        let mut any_active = false;
-        for (j, a) in r.arcs.iter().enumerate() {
-            let from = a.from as usize;
-            let live = if self.state.counts[a.to as usize] as usize == n {
-                self.seen[idx][j] = self.ver[from];
-                false
-            } else {
-                self.seen[idx][j] != self.ver[from]
-            };
-            self.active[j] = live;
-            any_active |= live;
-        }
-        if !any_active {
-            return self.finish_round();
-        }
-        // Pass 2: clone the row representations an active snapshot arc
-        // will read (sources that are also targets of this round).
-        for flag in &mut self.slot_needed[..r.snap_sources.len()] {
-            *flag = false;
-        }
-        for (j, a) in r.arcs.iter().enumerate() {
-            if self.active[j] && a.needs_snapshot() {
-                self.slot_needed[a.slot as usize] = true;
-            }
-        }
-        for (slot, &u) in r.snap_sources.iter().enumerate() {
-            if self.slot_needed[slot] {
-                self.snap[slot] = self.state.rows[u as usize].clone();
-            }
-        }
-        // Pass 3: apply the active arcs — delta runs when the target is
-        // exactly one source version behind, full row unions otherwise.
-        for (j, a) in r.arcs.iter().enumerate() {
-            if !self.active[j] {
-                continue;
-            }
-            let from = a.from as usize;
-            let to = a.to as usize;
-            let v0 = self.ver[from];
-            let (changed, exact) = if a.needs_snapshot() {
-                let view = view_of(&self.snap[a.slot as usize]);
-                self.state.absorb_view(to, view, &mut self.sc)
-            } else if self.delta_ok[from] && self.seen[idx][j] + 1 == v0 {
-                self.state.absorb_runs(to, &self.deltas[from], &mut self.sc)
-            } else {
-                self.state.absorb_from(to, from, &mut self.sc)
-            };
-            self.seen[idx][j] = v0;
-            if changed {
-                note_change(
-                    a.to,
-                    exact,
-                    &self.sc.added_a,
-                    &mut self.changed_targets,
-                    &mut self.target_changed,
-                    &mut self.pending,
-                    &mut self.pending_ok,
-                );
-            }
-        }
-        self.finish_round()
-    }
-
-    /// End of round: bump changed rows' versions and promote their
-    /// pending added runs to the row's delta.
-    fn finish_round(&mut self) -> bool {
-        let any = !self.changed_targets.is_empty();
-        for &t in &self.changed_targets {
-            let ti = t as usize;
-            self.ver[ti] += 1;
-            self.target_changed[ti] = false;
-            if self.pending_ok[ti] && (self.state.counts[ti] as usize) < self.state.n {
-                normalize_runs(&mut self.pending[ti]);
-                std::mem::swap(&mut self.deltas[ti], &mut self.pending[ti]);
-                self.delta_ok[ti] = true;
-            } else {
-                self.delta_ok[ti] = false;
-            }
-            self.pending[ti].clear();
-            self.pending_ok[ti] = true;
-        }
-        self.changed_targets.clear();
-        any
-    }
-}
-
-/// Records a changed row: queue its version bump and extend (or
-/// invalidate) its pending delta.
-fn note_change(
-    t: u32,
-    exact: bool,
-    added: &[(u32, u32)],
-    changed_targets: &mut Vec<u32>,
-    target_changed: &mut [bool],
-    pending: &mut [Vec<(u32, u32)>],
-    pending_ok: &mut [bool],
-) {
-    let ti = t as usize;
-    if !target_changed[ti] {
-        target_changed[ti] = true;
-        changed_targets.push(t);
-    }
-    if exact && pending_ok[ti] {
-        pending[ti].extend_from_slice(added);
-    } else {
-        pending_ok[ti] = false;
-        pending[ti].clear();
     }
 }
 
@@ -940,11 +401,15 @@ pub struct Handoff {
     pub slice_bytes: usize,
 }
 
-/// Runs a systolic protocol through the sparse engine. Stops early with
-/// `aborted_mem` if the row storage exceeds `mem_limit` bytes (a graceful
-/// out for rows that densify — the alternative is an OOM kill at n²/8
-/// bytes), and returns `Err` in the first round whose state exceeds
-/// `handoff_above` bytes (checked after completion and `mem_limit`).
+/// Runs a systolic protocol on the sparse row table: the period's arc
+/// lists are built once and [`SparseKnowledge::apply_round`] steps
+/// through them cyclically. Stops early with `aborted_mem` if the row
+/// storage exceeds `mem_limit` bytes (a graceful out for rows that
+/// densify — the alternative is an OOM kill at n²/8 bytes), and returns
+/// `Err` in the first round whose state exceeds `handoff_above` bytes
+/// (checked after completion and `mem_limit`). A period that changes
+/// nothing for `s` rounds in a row is a fixed point: the run stops and
+/// pads the trace.
 pub(crate) fn run_sparse(
     sp: &SystolicProtocol,
     n: usize,
@@ -953,9 +418,23 @@ pub(crate) fn run_sparse(
     mem_limit: Option<usize>,
     handoff_above: usize,
 ) -> Result<SparseOutcome, Handoff> {
-    let mut engine = SparseEngine::for_protocol(sp, n);
+    // Each round's arcs sorted by target once, so `apply_round`'s
+    // per-round sort of its `(target, source)` list meets sorted input.
+    // A `Round` is sorted by source: sorting that order took ~0.65 s
+    // over the 20 rounds of W(20, 2²⁰) on a 2-CPU box, sorted input
+    // ~0.04 s.
+    let period: Vec<Vec<(u32, u32)>> = sp
+        .period()
+        .iter()
+        .map(|r| {
+            let mut arcs: Vec<(u32, u32)> = r.arcs().iter().map(|a| (a.from, a.to)).collect();
+            arcs.sort_unstable_by_key(|&(from, to)| (to, from));
+            arcs
+        })
+        .collect();
+    let mut k = SparseKnowledge::new(n);
     let mut trace_vec = Vec::new();
-    let mut peak = engine.state_bytes();
+    let mut peak = k.state_bytes();
     let done = |completed_at, trace, rounds_run, peak_bytes, aborted_mem| {
         Ok(SparseOutcome {
             result: SimResult {
@@ -968,21 +447,21 @@ pub(crate) fn run_sparse(
             handoff: None,
         })
     };
-    if engine.all_complete() {
+    if k.all_complete() {
         return done(Some(0), trace_vec, 0, peak, false);
     }
-    let s = engine.round_count().max(1);
+    let s = period.len();
     let mut idle_rounds = 0usize;
     let mut rounds_run = 0usize;
     for i in 0..max_rounds {
-        let changed = engine.apply(i);
+        let changed = k.apply_round(&period[i % s]);
         rounds_run = i + 1;
         if trace {
-            trace_vec.push(engine.min_count());
+            trace_vec.push(k.min_count());
         }
-        let bytes = engine.state_bytes();
+        let bytes = k.state_bytes();
         peak = peak.max(bytes);
-        if engine.all_complete() {
+        if k.all_complete() {
             return done(Some(i + 1), trace_vec, rounds_run, peak, false);
         }
         if mem_limit.is_some_and(|limit| bytes > limit) {
@@ -1000,7 +479,7 @@ pub(crate) fn run_sparse(
             // Fixed point of the period: pad the trace exactly like the
             // reference would.
             if trace {
-                let stuck = engine.min_count();
+                let stuck = k.min_count();
                 trace_vec.resize(max_rounds, stuck);
             }
             break;
@@ -1055,8 +534,12 @@ mod tests {
     use sg_protocol::mode::Mode;
     use sg_protocol::round::Round;
 
+    fn arcs_of(round: &Round) -> Vec<(u32, u32)> {
+        round.arcs().iter().map(|a| (a.from, a.to)).collect()
+    }
+
     #[test]
-    fn run_algebra_union_subtract() {
+    fn run_union_coalesces_and_counts() {
         let mut out = Vec::new();
         run_union(&[(0, 3), (5, 7)], &[(2, 6), (9, 10)], &mut out);
         assert_eq!(out, vec![(0, 7), (9, 10)]);
@@ -1064,12 +547,6 @@ mod tests {
         assert_eq!(out, vec![(0, 5)]);
         run_union(&[], &[(1, 2)], &mut out);
         assert_eq!(out, vec![(1, 2)]);
-        run_subtract(&[(0, 10)], &[(2, 4), (6, 7)], &mut out);
-        assert_eq!(out, vec![(0, 2), (4, 6), (7, 10)]);
-        run_subtract(&[(0, 4), (6, 9)], &[(3, 8)], &mut out);
-        assert_eq!(out, vec![(0, 3), (8, 9)]);
-        run_subtract(&[(2, 4)], &[(0, 10)], &mut out);
-        assert_eq!(out, Vec::<(u32, u32)>::new());
         assert_eq!(run_len(&[(0, 3), (5, 9)]), 7);
     }
 
@@ -1110,13 +587,15 @@ mod tests {
             (builders::complete_round_robin(70), 70),
             (builders::grid_traffic_light(6, 5), 30),
         ] {
-            let mut engine = SparseEngine::for_protocol(&sp, n);
+            let mut k = SparseKnowledge::new(n);
             let mut oracle = Knowledge::initial(n);
             for i in 0..4 * sp.s() + 8 {
-                engine.apply(i);
-                crate::reference::apply_round_reference(&mut oracle, sp.round_at(i));
-                assert_eq!(engine.to_dense(), oracle, "round {i}");
-                assert_eq!(engine.min_count(), oracle.min_count(), "round {i}");
+                let round = sp.round_at(i);
+                let changed = k.apply_round(&arcs_of(round));
+                let oracle_changed = crate::reference::apply_round_reference(&mut oracle, round);
+                assert_eq!(changed, oracle_changed, "round {i}");
+                assert_eq!(k.to_dense(), oracle, "round {i}");
+                assert_eq!(k.min_count(), oracle.min_count(), "round {i}");
             }
         }
     }
@@ -1124,13 +603,13 @@ mod tests {
     #[test]
     fn completed_rows_retire_and_free_storage() {
         let sp = builders::hypercube_sweep(6);
-        let mut engine = SparseEngine::for_protocol(&sp, 64);
+        let mut k = SparseKnowledge::new(64);
         for i in 0..6 {
-            engine.apply(i);
+            k.apply_round(&arcs_of(sp.round_at(i)));
         }
-        assert!(engine.all_complete());
-        assert_eq!(engine.state_bytes(), 0, "full rows store nothing");
-        assert_eq!(engine.min_count(), 64);
+        assert!(k.all_complete());
+        assert_eq!(k.state_bytes(), 0, "full rows store nothing");
+        assert_eq!(k.min_count(), 64);
     }
 
     #[test]

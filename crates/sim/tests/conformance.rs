@@ -1,14 +1,14 @@
 //! Differential conformance suite: every protocol of every scenario in
 //! the registry, run through the three production engines — compiled,
-//! sparse delta and item-sliced — against the retained naive reference,
+//! sparse row table and item-sliced — against the retained naive reference,
 //! with identical `completed_at` AND identical knowledge traces
 //! required.
 //!
 //! The reference engine (`sg_sim::reference`) is the oracle: it is the
 //! original, allocation-heavy, obviously-correct implementation of
 //! Definition 3.1. The production engines each take a different shortcut
-//! (precompiled snapshot plans, run-compressed rows with delta
-//! skipping, relabelled 256-item slices with a trace rebuilt from
+//! (precompiled snapshot plans, run-compressed rows with a fixed-point
+//! exit, relabelled 256-item slices with a trace rebuilt from
 //! per-thread gain counts), so agreement across all of them on the
 //! whole workload zoo pins the semantics from independent directions.
 
@@ -123,14 +123,16 @@ fn final_knowledge_states_are_bit_identical() {
             let mut oracle = Knowledge::initial(n);
             let mut sched = sg_sim::CompiledSchedule::compile(sp.period(), n);
             let mut compiled = Knowledge::initial(n);
-            let mut sparse_engine = sg_sim::SparseEngine::for_protocol(&sp, n);
+            let mut sparse = sg_sim::SparseKnowledge::new(n);
             for i in 0..6 * sp.s() + 20 {
-                sg_sim::apply_round_reference(&mut oracle, sp.round_at(i));
+                let round = sp.round_at(i);
+                sg_sim::apply_round_reference(&mut oracle, round);
                 sched.apply(&mut compiled, i);
-                sparse_engine.apply(i);
+                let arcs: Vec<(u32, u32)> = round.arcs().iter().map(|a| (a.from, a.to)).collect();
+                sparse.apply_round(&arcs);
                 assert_eq!(compiled, oracle, "{}: compiled, round {i}", net.name());
                 assert_eq!(
-                    sparse_engine.to_dense(),
+                    sparse.to_dense(),
                     oracle,
                     "{}: sparse, round {i}",
                     net.name()

@@ -12,7 +12,7 @@ use sg_sim::reference::apply_round_reference;
 use sg_sim::reference::run_systolic_reference;
 use sg_sim::schedule::CompiledSchedule;
 use sg_sim::sliced::run_systolic_sliced;
-use sg_sim::sparse::SparseEngine;
+use sg_sim::sparse::SparseKnowledge;
 use std::collections::HashSet;
 
 /// Naive reference: per-vertex `HashSet<usize>` with strict
@@ -156,9 +156,12 @@ proptest! {
         }
     }
 
-    /// The sparse delta engine — run-compressed rows, delta fast paths,
-    /// full-row retirement — matches the reference applier bit for bit
-    /// on arbitrary arc sets over many periods.
+    /// The sparse row table — run, dense and retired full rows — matches
+    /// the reference applier bit for bit on arbitrary arc lists replayed
+    /// over many periods. `apply_round` gets each list as drawn
+    /// (unsorted, duplicates and self-loops kept), the reference the
+    /// normalized `Round`; counts, membership and the completion flag
+    /// are checked as well as the raw table.
     #[test]
     fn sparse_matches_reference_on_wild_rounds(
         period in proptest::collection::vec(wild_arcs_strategy(11), 1..5),
@@ -166,14 +169,28 @@ proptest! {
     ) {
         let n = 11;
         let rounds: Vec<Round> = period.iter().cloned().map(Round::new).collect();
-        let mut engine = SparseEngine::new(CompiledSchedule::compile(&rounds, n));
+        let mut k = SparseKnowledge::new(n);
         let mut oracle = Knowledge::initial(n);
         for i in 0..cycles * rounds.len() {
-            let a = engine.apply(i);
+            let arcs: Vec<(u32, u32)> =
+                period[i % rounds.len()].iter().map(|a| (a.from, a.to)).collect();
+            let a = k.apply_round(&arcs);
             let b = apply_round_reference(&mut oracle, &rounds[i % rounds.len()]);
             prop_assert_eq!(a, b, "changed flag diverged at round {}", i);
-            prop_assert_eq!(engine.to_dense(), oracle.clone(), "state diverged at round {}", i);
-            prop_assert_eq!(engine.min_count(), oracle.min_count(), "min diverged at round {}", i);
+            prop_assert_eq!(k.to_dense(), oracle.clone(), "state diverged at round {}", i);
+            prop_assert_eq!(k.min_count(), oracle.min_count(), "min diverged at round {}", i);
+            for v in 0..n {
+                prop_assert_eq!(k.count(v), oracle.count(v), "count of {} at round {}", v, i);
+                for item in 0..n {
+                    prop_assert_eq!(k.knows(v, item), oracle.knows(v, item));
+                }
+            }
+            prop_assert_eq!(
+                k.all_complete(),
+                oracle.min_count() == n,
+                "completion flag at round {}",
+                i
+            );
         }
     }
 
@@ -289,19 +306,20 @@ fn chain_with_self_loop_and_duplicate_target_pins_semantics() {
     sched.apply(&mut compiled, 0);
     assert_eq!(compiled, oracle);
 
-    let mut sparse_engine = SparseEngine::new(CompiledSchedule::compile(&rounds, n));
-    sparse_engine.apply(0);
-    assert_eq!(sparse_engine.to_dense(), oracle);
+    let arcs: Vec<(u32, u32)> = round.arcs().iter().map(|a| (a.from, a.to)).collect();
+    let mut sparse = SparseKnowledge::new(n);
+    sparse.apply_round(&arcs);
+    assert_eq!(sparse.to_dense(), oracle);
 
     // Replaying the same round until saturation keeps all four in step.
     for i in 1..8 {
         apply_round_reference(&mut oracle, &round);
         apply_round(&mut one_shot, &round);
         sched.apply(&mut compiled, i);
-        sparse_engine.apply(i);
+        sparse.apply_round(&arcs);
         assert_eq!(one_shot, oracle);
         assert_eq!(compiled, oracle);
-        assert_eq!(sparse_engine.to_dense(), oracle);
+        assert_eq!(sparse.to_dense(), oracle);
     }
 
     // The sliced engine on the same round, traced to saturation.
