@@ -91,10 +91,11 @@ fn bench_engine_ablation(c: &mut Criterion) {
 /// execution (protocol construction excluded) on `sim_threads()`
 /// threads; the headline is the n = 2²⁰ Knödel graph — a
 /// million-vertex gossip measured in seconds. Labels are
-/// `sim_large/<family>/<n>`.
+/// `sim_large/<family>/<n>`. Five samples per point, so the median is
+/// the middle sample rather than the mean of two.
 fn bench_sim_large(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_large");
-    g.sample_size(if fast_mode() { 1 } else { 2 });
+    g.sample_size(if fast_mode() { 1 } else { 5 });
 
     let workloads: Vec<(&str, Network)> = if fast_mode() {
         // CI smoke: one mid-size Knödel point keeps the group's labels

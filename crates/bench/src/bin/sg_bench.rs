@@ -10,6 +10,7 @@
 //!                --periods 3..8 --nonsystolic
 //! ```
 
+use sg_bench::outln;
 use sg_scenario::{registry, run_batch, BatchOptions, Scenario, Task, WeightScheme};
 use systolic_gossip::sg_bounds::pfun::Period;
 use systolic_gossip::sg_protocol::mode::Mode;
@@ -201,12 +202,12 @@ fn with_task_flags(
 
 fn run_cli(args: &[String]) -> Result<i32, String> {
     let Some(command) = args.first() else {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return Ok(2);
     };
     let task = match command.as_str() {
         "-h" | "--help" | "help" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             return Ok(0);
         }
         "sweep" => {
@@ -250,17 +251,17 @@ fn run_cli(args: &[String]) -> Result<i32, String> {
             }
             Ok(reg)
         })?;
-        println!("{:<26} {:<9} summary", "name", "task");
-        println!("{}", "-".repeat(100));
+        outln!("{:<26} {:<9} summary", "name", "task");
+        outln!("{}", "-".repeat(100));
         for s in &reg {
-            println!("{:<26} {:<9} {}", s.name, s.task.name(), s.summary);
+            outln!("{:<26} {:<9} {}", s.name, s.task.name(), s.summary);
         }
         match &flags.filter {
-            Some(f) => println!(
+            Some(f) => outln!(
                 "\n{} scenario(s) matching `{f}`. `sg-bench run --filter {f}` runs them all.",
                 reg.len()
             ),
-            None => println!(
+            None => outln!(
                 "\n{} scenarios. `sg-bench run <name>` or `sg-bench run all`.",
                 reg.len()
             ),
@@ -745,15 +746,15 @@ fn execute(scenarios: &[Scenario], flags: &CommonFlags) -> Result<i32, String> {
     };
     let started = std::time::Instant::now();
     if flags.format == Format::Text {
-        println!("{}", thread_echo(&opts));
+        outln!("{}", thread_echo(&opts));
     }
     let report = run_batch(scenarios, &opts);
     match flags.format {
         Format::Text => {
             for outcome in &report.outcomes {
-                println!("{}", outcome.render_text());
+                outln!("{}", outcome.render_text());
             }
-            println!(
+            outln!(
                 "{} scenario(s) in {:.2}s",
                 report.outcomes.len(),
                 started.elapsed().as_secs_f64()
@@ -761,11 +762,12 @@ fn execute(scenarios: &[Scenario], flags: &CommonFlags) -> Result<i32, String> {
         }
         Format::Json => {
             for row in report.tagged_rows() {
-                println!("{}", to_json_line(&row));
+                outln!("{}", to_json_line(&row));
             }
         }
         Format::Csv => {
-            print!("{}", to_csv(&report.tagged_rows()));
+            let csv = to_csv(&report.tagged_rows());
+            outln!("{}", csv.strip_suffix('\n').unwrap_or(&csv));
         }
     }
     if flags.stats {

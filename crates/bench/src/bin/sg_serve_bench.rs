@@ -14,7 +14,7 @@
 //! Exits nonzero on any non-shed error reply, a failed drain, or a
 //! single-flight violation (more computes than distinct queries).
 
-use sg_bench::{bench_json_path, Trajectory};
+use sg_bench::{bench_json_path, outln, Trajectory};
 use sg_serve::json::{self, Json};
 use sg_serve::server::{Server, ServerConfig};
 use sg_serve::Client;
@@ -183,9 +183,10 @@ fn main() {
         .addr
         .clone()
         .unwrap_or_else(|| server.as_ref().unwrap().local_addr().to_string());
-    println!(
+    outln!(
         "sg-serve-bench: {} connections x {} queries against {addr}",
-        opts.connections, opts.queries
+        opts.connections,
+        opts.queries
     );
 
     // All workers connect, meet at the barrier, then fire together.
@@ -282,9 +283,7 @@ fn main() {
         eprintln!("sg-serve-bench: writing {} failed: {e}", opts.out.display());
         std::process::exit(1);
     }
-    print!("{json_out}");
-    println!("sg-serve-bench: wrote {}", opts.out.display());
-
+    // The verdict first: a closed stdout ends the process with status 0.
     if errors > 0 || io_failures > 0 || !graceful_drain || !singleflight_ok {
         eprintln!(
             "sg-serve-bench: FAILED (errors {errors}, io failures {io_failures}, \
@@ -292,4 +291,5 @@ fn main() {
         );
         std::process::exit(1);
     }
+    outln!("{json_out}sg-serve-bench: wrote {}", opts.out.display());
 }

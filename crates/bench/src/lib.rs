@@ -20,6 +20,20 @@ pub fn fast_mode() -> bool {
     std::env::var("SG_BENCH_FAST").is_ok_and(|v| v == "1")
 }
 
+/// `println!` for the binaries, through one `writeln!`: once the reader
+/// has closed stdout (`sg-bench list | head -1`), the process exits at
+/// once with status 0 and nothing on stderr, where `println!` panics.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        match writeln!(std::io::stdout(), $($arg)*) {
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+            written => written.expect("failed printing to stdout"),
+        }
+    }};
+}
+
 /// The median of the recorded benchmark `name`, in nanoseconds.
 pub fn median_ns(c: &Criterion, name: &str) -> Option<u128> {
     c.results()

@@ -55,8 +55,7 @@
 //!    index set down the recursion; larger groups act on candidate
 //!    indices through a stabilizer chain rebuilt per fixed round, with
 //!    orbit minima from a union-find closure over the stabilizer's
-//!    strong generators — exact at *any* group order, where the retired
-//!    engine fell back to a sound-but-weak generator subset.
+//!    strong generators — exact at *any* group order.
 //! 3. **Isomorph-rejection memo on canonical knowledge signatures.** The
 //!    relaxation distance (how many all-arcs rounds a knowledge state
 //!    needs to complete, or that it never can) depends only on the state
@@ -68,8 +67,7 @@
 //!    into `⌈n²/64⌉` words), or the individualization–refinement
 //!    canonical form of the combined (adjacency, knowledge) relational
 //!    structure ([`sg_graphs::refine`]) beyond the cap or beyond 64
-//!    processors. Either way the signature is exactly canonical — the
-//!    old `CANONICAL_PERM_CAP` identity fallback is gone. Signatures
+//!    processors. Either way the signature is exactly canonical. Signatures
 //!    live in a flat sharded memo (fixed-width key arenas, no per-entry
 //!    allocation), and each worker keeps a bounded direct-mapped front
 //!    cache keyed on the raw packed state, so a state seen again skips
@@ -113,10 +111,8 @@
 //! witness is the lexicographically least minimum-value completion
 //! regardless of which worker found it.
 //!
-//! The retired pre-refinement engine survives verbatim as
-//! [`crate::reference::enumerate_serial`]: the differential oracle the
-//! tests compare against, and the serial baseline of the enumeration
-//! bench.
+//! `tests/brute_force_oracle.rs` checks the engine against a brute-force
+//! minimum over every schedule of every round, written without its code.
 
 use crate::certificate::{certify_with, Certificate, Verdict};
 use crate::seeds::{fit_to_period, seed_protocols};
@@ -318,7 +314,7 @@ fn maximal_sets(
 
 /// The all-arcs relaxation round: dominates every valid round of any
 /// mode, which is what makes prefix cuts sound.
-pub(crate) fn relaxation_round(g: &Digraph) -> Round {
+fn relaxation_round(g: &Digraph) -> Round {
     Round::new(g.arcs().filter(|a| !a.is_loop()).collect())
 }
 
@@ -326,7 +322,7 @@ pub(crate) fn relaxation_round(g: &Digraph) -> Round {
 /// `action[c]` is the index the automorphism maps candidate `c` to.
 /// Candidates are lexicographically sorted, so index order *is* round
 /// order and orbit minima are index minima.
-pub(crate) fn candidate_action(p: &Perm, candidates: &[Round], name: &str) -> Vec<u32> {
+fn candidate_action(p: &Perm, candidates: &[Round], name: &str) -> Vec<u32> {
     (0..candidates.len())
         .map(|i| {
             let mapped = sg_graphs::automorphism::map_arcs(p, candidates[i].arcs());
@@ -1374,7 +1370,7 @@ pub fn enumerate(net: &Network, mode: Mode, cfg: &EnumerateConfig) -> EnumerateO
 /// Seeds are upper bounds on the optimum by dominance — every schedule
 /// is dominated by a maximal-rounds one — so they are sound bounds even
 /// though their own rounds need not be maximal.
-pub(crate) fn best_seed(
+fn best_seed(
     net: &Network,
     g: &Digraph,
     mode: Mode,

@@ -29,10 +29,8 @@
 //!   canonical-signature memoization (orbit minima or
 //!   individualization–refinement forms), relaxation cuts, and a
 //!   deterministic parallel fixed-cap pass — the machinery that turns a
-//!   reported gap into a settled theorem;
-//! * [`mod@reference`] — the retired sequential pre-refinement enumerator,
-//!   kept as the differential-conformance oracle and the serial
-//!   baseline of the enumeration bench.
+//!   reported gap into a settled theorem, checked by a brute-force
+//!   oracle that shares none of its code (`tests/brute_force_oracle.rs`).
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +39,6 @@ pub mod certificate;
 pub mod driver;
 pub mod enumerate;
 pub mod kernel;
-pub mod reference;
 pub mod seeds;
 
 pub use candidate::Candidate;

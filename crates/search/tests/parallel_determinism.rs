@@ -1,14 +1,12 @@
-//! Determinism across thread budgets, and conformance against the
-//! retired engine.
+//! Determinism across thread budgets, and the exact counters of the
+//! kernel.
 //!
 //! The parallel fixed-cap pass claims bit-identical outcomes at any
 //! thread count: the visited node set is a pure function of the
 //! instance, so every counter — and the `(value, prefix)`-minimal
-//! witness — must match. And the whole engine claims to settle exactly
-//! what the retired sequential engine settled; `sg_search::reference`
-//! keeps that engine alive so the claim is tested, not remembered.
+//! witness — must match. Whether the optima themselves are right is
+//! `brute_force_oracle.rs`'s question.
 
-use sg_search::reference::enumerate_serial;
 use sg_search::{enumerate, EnumerateConfig};
 use systolic_gossip::sg_graphs::digraph::Arc;
 use systolic_gossip::sg_protocol::mode::Mode;
@@ -213,50 +211,6 @@ fn kernel_counters_are_pinned() {
                 "{} s={s} at {threads} threads",
                 net.name()
             );
-        }
-    }
-}
-
-/// The optima the new engine settles are exactly the optima the retired
-/// engine settles — including `K₈`, whose 40320-element group exercises
-/// the chain regime on one side and the generator fallback on the other.
-#[test]
-fn new_engine_agrees_with_the_retired_engine() {
-    let zoo: Vec<(Network, Mode, usize)> = vec![
-        (Network::Path { n: 6 }, Mode::FullDuplex, 2),
-        (Network::Cycle { n: 6 }, Mode::FullDuplex, 2),
-        (Network::Cycle { n: 8 }, Mode::FullDuplex, 3),
-        (Network::Hypercube { k: 3 }, Mode::FullDuplex, 2),
-        (Network::Torus2d { w: 3, h: 3 }, Mode::FullDuplex, 3),
-        (Network::Knodel { delta: 3, n: 8 }, Mode::FullDuplex, 3),
-        (Network::Cycle { n: 6 }, Mode::Directed, 2),
-        (Network::Path { n: 6 }, Mode::Directed, 3),
-        (Network::Complete { n: 8 }, Mode::FullDuplex, 2),
-    ];
-    for (net, mode, s) in zoo {
-        let cfg = EnumerateConfig::default().exact_period(s);
-        let new = enumerate(&net, mode, &cfg);
-        let old = enumerate_serial(&net, mode, &cfg);
-        assert_eq!(
-            new.best_rounds,
-            old.best_rounds,
-            "{} s={s}: engines disagree on the optimum",
-            net.name()
-        );
-        assert_eq!(new.proven_infeasible, old.proven_infeasible);
-        assert_eq!(new.met_floor, old.met_floor, "{} s={s}", net.name());
-        assert_eq!(new.round_candidates, old.round_candidates);
-        // Both witnesses (when they exist) must achieve the proven time.
-        let n = net.build().vertex_count();
-        for (label, out) in [("new", &new), ("reference", &old)] {
-            if let (Some(t), Some(sp)) = (out.best_rounds, out.best.as_ref()) {
-                assert_eq!(
-                    systolic_gossip::sg_sim::engine::systolic_gossip_time(sp, n, 1000),
-                    Some(t),
-                    "{label} witness for {} s={s}",
-                    net.name()
-                );
-            }
         }
     }
 }
