@@ -1,5 +1,5 @@
 //! Golden bound rows: the paper figures, the bound and diameter sweeps,
-//! the audits, two searches and one exact enumeration, run through
+//! the audits, six searches and one exact enumeration, run through
 //! `run_batch` at two threads and compared line for line with the
 //! committed `golden/bound_rows.jsonl`. Every number the bound layer
 //! composes (the three exact floors and which one won, `e(s)`, the
@@ -14,7 +14,8 @@
 //! ```text
 //! ./target/release/sg-bench run fig4 fig5 fig5-highdeg fig6 fig8 \
 //!     zoo-bounds diameter-bounds diameter-bounds-weighted validate \
-//!     search-path search-cycle-s2 enum-cycle-directed \
+//!     search-path search-cycle search-cycle-s2 search-hypercube \
+//!     search-torus search-knodel enum-cycle-directed \
 //!     --threads 2 --format json \
 //!   | sed -E 's/"(elapsed_ms|threads)":[0-9]+,//g' \
 //!   > crates/scenario/tests/golden/bound_rows.jsonl
@@ -34,7 +35,11 @@ const SCENARIOS: &[&str] = &[
     "diameter-bounds-weighted",
     "validate",
     "search-path",
+    "search-cycle",
     "search-cycle-s2",
+    "search-hypercube",
+    "search-torus",
+    "search-knodel",
     "enum-cycle-directed",
 ];
 
