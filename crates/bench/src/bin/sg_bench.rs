@@ -72,8 +72,9 @@ OPTIONS:
   --threads N          thread budget, the calling thread counted
                        (default: one per core, max 16)
   --sim-threads N      threads per unit: item slices of a dense gossip
-                       time at n >= 2048 and of a large simulation, and
-                       the enumerator's exhaustive parallel pass
+                       time at n >= 2048 and of a large simulation, the
+                       annealer's chains, the randomized trials and the
+                       enumerator's exhaustive parallel pass
                        (default: leftover budget once units are assigned;
                        the effective values are echoed in text output)
   --faults P           execute: per-link drop probability in [0, 1)
@@ -718,17 +719,18 @@ fn parse_sweep(args: &[String]) -> Result<Scenario, String> {
 /// The one-line thread echo of text output: the resolved global thread
 /// *budget*, plus the per-unit sim override when one was given.
 ///
-/// Worker-vs-budget convention (see [`BatchOptions::threads`]): a
-/// budget of `t` counts the calling thread, so it means the caller plus
-/// `t - 1` more. A budget of 1 runs the batch sequentially, so the echo
-/// says exactly that instead of claiming "1 worker(s)".
+/// Budget convention (see [`BatchOptions::threads`]): a budget of `t`
+/// counts the calling thread, so each parallel loop (`sg_sim::fan_out`)
+/// runs on the caller plus `t - 1` scoped threads it spawns for that
+/// loop alone. A budget of 1 runs the batch sequentially, so the echo
+/// says exactly that.
 fn thread_echo(opts: &BatchOptions) -> String {
     let budget = opts.effective_threads();
     let mut echo = if budget <= 1 {
-        "threads: 1 (sequential — no pool workers spawned)".to_string()
+        "threads: 1 (sequential — no threads spawned)".to_string()
     } else {
         format!(
-            "threads: {budget} ({} pool worker(s) + the calling thread)",
+            "threads: {budget} (the calling thread + {} scoped thread(s) per parallel loop)",
             budget - 1
         )
     };
@@ -817,19 +819,20 @@ mod tests {
             sim_threads: flags.sim_threads,
             ..Default::default()
         };
-        // Budget 3 = 2 spawned pool workers + the calling thread.
+        // Budget 3 = the calling thread + 2 scoped threads per loop.
         assert_eq!(
             thread_echo(&opts),
-            "threads: 3 (2 pool worker(s) + the calling thread), 2 sim thread(s) per unit"
+            "threads: 3 (the calling thread + 2 scoped thread(s) per parallel loop), \
+             2 sim thread(s) per unit"
         );
-        // Budget 1 spawns no workers — the echo must not claim any.
+        // Budget 1 spawns no threads — the echo must not claim any.
         let sequential = BatchOptions {
             threads: 1,
             ..Default::default()
         };
         assert_eq!(
             thread_echo(&sequential),
-            "threads: 1 (sequential — no pool workers spawned)"
+            "threads: 1 (sequential — no threads spawned)"
         );
         // With no --sim-threads the echo shows only the resolved global
         // budget — the per-unit split depends on the unit count.

@@ -59,11 +59,12 @@ struct Opts {
     out: std::path::PathBuf,
 }
 
+const USAGE: &str = "usage: sg-serve-bench [--addr HOST:PORT] [--connections N] [--queries N] \
+                     [--max-inflight N] [--out FILE]";
+
+/// Prints the usage to stderr and exits 2: the end of every bad command line.
 fn usage() -> ! {
-    eprintln!(
-        "usage: sg-serve-bench [--addr HOST:PORT] [--connections N] [--queries N] \
-         [--max-inflight N] [--out FILE]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
@@ -75,34 +76,37 @@ fn parse_opts() -> Opts {
         max_inflight: 4096,
         out: bench_json_path("serve"),
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].clone();
-        i += 1;
-        let value = args.get(i).cloned().unwrap_or_else(|| {
-            eprintln!("sg-serve-bench: {flag} needs a value");
-            usage()
-        });
-        let num = |v: &str| -> usize {
+    // Each flag is matched before its value is read, so `--help` and an
+    // unknown flag are never mistaken for a flag missing its value.
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next().unwrap_or_else(|| {
+                eprintln!("sg-serve-bench: {flag} needs a value");
+                usage()
+            })
+        };
+        let number = |v: String| -> usize {
             v.parse().unwrap_or_else(|_| {
                 eprintln!("sg-serve-bench: {flag} needs a number, got `{v}`");
                 usage()
             })
         };
         match flag.as_str() {
-            "--addr" => opts.addr = Some(value),
-            "--connections" => opts.connections = num(&value),
-            "--queries" => opts.queries = num(&value),
-            "--max-inflight" => opts.max_inflight = num(&value),
-            "--out" => opts.out = value.into(),
-            "--help" | "-h" => usage(),
+            "--help" | "-h" => {
+                outln!("{USAGE}");
+                std::process::exit(0);
+            }
+            "--addr" => opts.addr = Some(value()),
+            "--connections" => opts.connections = number(value()),
+            "--queries" => opts.queries = number(value()),
+            "--max-inflight" => opts.max_inflight = number(value()),
+            "--out" => opts.out = value().into(),
             other => {
                 eprintln!("sg-serve-bench: unknown flag `{other}`");
                 usage()
             }
         }
-        i += 1;
     }
     if opts.connections == 0 || opts.queries == 0 {
         eprintln!("sg-serve-bench: --connections and --queries must be positive");

@@ -10,7 +10,8 @@
 //!   \[22, 2\];
 //! * [`diameter`] — diameter coefficients (Fig. 6 comparison column);
 //! * [`registry`] — the literature bounds quoted by the paper;
-//! * [`tables`] — structured reproductions of Figs. 4, 5, 6 and 8.
+//! * [`tables`] — the figure-table types (`FigTable`, `FigRow`, `Cell`)
+//!   and the standard period columns of Figs. 4, 5 and 8.
 
 #![forbid(unsafe_code)]
 
@@ -29,4 +30,4 @@ pub use general::{
 };
 pub use pfun::{BoundMode, Period};
 pub use separator::{e_separator, improvement_threshold, SeparatorBound};
-pub use tables::{fig4, fig5, fig5_custom, fig6, fig8, FigRow, FigTable};
+pub use tables::{FigRow, FigTable};

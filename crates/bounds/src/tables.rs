@@ -1,20 +1,12 @@
-//! Table builders: structured reproductions of Figs. 4, 5, 6 and 8.
-//!
-//! Each builder returns a [`FigTable`] with one cell per table entry of
-//! the paper; `render()` prints the aligned ASCII the figure binaries
-//! emit. Boundary cells (where the separator optimizer sits on the
-//! feasibility boundary `f(λ) = 1` and the value therefore coincides with
-//! the general bound) are marked with `∗`, matching the paper's
-//! convention in Figs. 5 and 8.
+//! The figure-table types: one [`FigTable`] per reproduced figure, one
+//! [`Cell`] per table entry of the paper. `render()` prints the aligned
+//! ASCII the `sg-bench run fig4 …` scenarios emit. Boundary cells (where
+//! the separator optimizer sits on the feasibility boundary `f(λ) = 1`
+//! and the value therefore coincides with the general bound) are marked
+//! with `∗`, matching the paper's convention in Figs. 5 and 8. The
+//! builder that fills them is `sg_scenario::tables`.
 
-use crate::diameter;
-use crate::general::e_coefficient;
-use crate::pfun::{BoundMode, Period};
-use crate::separator::e_separator;
-use sg_graphs::separator::{
-    params_butterfly, params_de_bruijn, params_kautz, params_wbf_directed, params_wbf_undirected,
-    SeparatorParams,
-};
+use crate::pfun::Period;
 
 /// One table cell.
 #[derive(Debug, Clone, Copy)]
@@ -84,272 +76,4 @@ pub fn standard_periods() -> Vec<Period> {
         .map(Period::Systolic)
         .chain(std::iter::once(Period::NonSystolic))
         .collect()
-}
-
-/// Fig. 4: the general directed/half-duplex systolic coefficients.
-pub fn fig4() -> FigTable {
-    let periods = standard_periods();
-    let cells = periods
-        .iter()
-        .map(|&p| Cell {
-            value: e_coefficient(BoundMode::HalfDuplex, p),
-            starred: false,
-        })
-        .collect();
-    FigTable {
-        title: "Fig. 4 — general lower bound e(s), directed & half-duplex: t >= e(s)·log2(n) − O(log log n)".into(),
-        columns: periods.iter().map(|p| p.label()).collect(),
-        rows: vec![FigRow {
-            label: "any network".into(),
-            cells,
-        }],
-    }
-}
-
-/// The network families of Figs. 5, 6 and 8 with their Lemma 3.1
-/// separator parameters.
-pub fn separator_families(ds: &[usize]) -> Vec<(String, SeparatorParams, bool)> {
-    // (label, params, available_in_full_duplex)
-    let mut rows = Vec::new();
-    for &d in ds {
-        rows.push((format!("BF({d},D)"), params_butterfly(d), true));
-        rows.push((format!("WBF->({d},D)"), params_wbf_directed(d), false));
-        rows.push((format!("WBF({d},D)"), params_wbf_undirected(d), true));
-        rows.push((format!("DB({d},D)"), params_de_bruijn(d), true));
-        rows.push((format!("K({d},D)"), params_kautz(d), true));
-    }
-    rows
-}
-
-/// Fig. 5: systolic half-duplex coefficients for the specific networks,
-/// `s = 3..8` (the `∗` entries coincide with Fig. 4).
-pub fn fig5() -> FigTable {
-    fig5_custom(&[2, 3], 3..=8)
-}
-
-/// Parameterized Fig. 5: arbitrary degree list and period range. The
-/// paper notes that for `d = 4, 5` slight improvements appear only for
-/// `s > 8` — regenerate with `fig5_custom(&[4, 5], 3..=14)` to see them.
-pub fn fig5_custom(ds: &[usize], periods: std::ops::RangeInclusive<usize>) -> FigTable {
-    let periods: Vec<Period> = periods.map(Period::Systolic).collect();
-    let rows = separator_families(ds)
-        .into_iter()
-        .map(|(label, params, _)| FigRow {
-            label,
-            cells: periods
-                .iter()
-                .map(|&p| {
-                    let b = e_separator(params, BoundMode::HalfDuplex, p);
-                    Cell {
-                        value: b.e,
-                        starred: b.at_boundary,
-                    }
-                })
-                .collect(),
-        })
-        .collect();
-    FigTable {
-        title: "Fig. 5 — systolic half-duplex lower bounds for specific networks: t >= e(s)·log2(n)·(1 − o(1))".into(),
-        columns: periods.iter().map(|p| p.label()).collect(),
-        rows,
-    }
-}
-
-/// Fig. 6: non-systolic half-duplex coefficients plus the diameter
-/// comparison column.
-pub fn fig6() -> FigTable {
-    let mut rows = Vec::new();
-    for &d in &[2usize, 3] {
-        let fams: Vec<(String, SeparatorParams, f64)> = vec![
-            (
-                format!("BF({d},D)"),
-                params_butterfly(d),
-                diameter::diam_coeff_butterfly(d),
-            ),
-            (
-                format!("WBF->({d},D)"),
-                params_wbf_directed(d),
-                diameter::diam_coeff_wbf_directed(d),
-            ),
-            (
-                format!("WBF({d},D)"),
-                params_wbf_undirected(d),
-                diameter::diam_coeff_wbf_undirected(d),
-            ),
-            (
-                format!("DB({d},D)"),
-                params_de_bruijn(d),
-                diameter::diam_coeff_de_bruijn(d),
-            ),
-            (
-                format!("K({d},D)"),
-                params_kautz(d),
-                diameter::diam_coeff_kautz(d),
-            ),
-        ];
-        for (label, params, diam) in fams {
-            let b = e_separator(params, BoundMode::HalfDuplex, Period::NonSystolic);
-            rows.push(FigRow {
-                label,
-                cells: vec![
-                    Cell {
-                        value: b.e,
-                        starred: b.at_boundary,
-                    },
-                    Cell {
-                        value: diam,
-                        starred: false,
-                    },
-                ],
-            });
-        }
-    }
-    FigTable {
-        title: "Fig. 6 — non-systolic half-duplex lower bounds (coefficient of log2 n); '∗' = coincides with the general 1.4404".into(),
-        columns: vec!["e(∞)".into(), "diam.".into()],
-        rows,
-    }
-}
-
-/// Fig. 8: full-duplex coefficients — the general row (which equals the
-/// broadcasting constants `c(s−1)` of \[22, 2\]) and the separator-improved
-/// rows for the undirected families.
-pub fn fig8() -> FigTable {
-    let periods = standard_periods();
-    let mut rows = vec![FigRow {
-        label: "any network".into(),
-        cells: periods
-            .iter()
-            .map(|&p| Cell {
-                value: e_coefficient(BoundMode::FullDuplex, p),
-                starred: false,
-            })
-            .collect(),
-    }];
-    for (label, params, fd) in separator_families(&[2, 3]) {
-        if !fd {
-            continue; // directed families have no full-duplex mode
-        }
-        rows.push(FigRow {
-            label,
-            cells: periods
-                .iter()
-                .map(|&p| {
-                    let b = e_separator(params, BoundMode::FullDuplex, p);
-                    Cell {
-                        value: b.e,
-                        starred: b.at_boundary,
-                    }
-                })
-                .collect(),
-        });
-    }
-    FigTable {
-        title: "Fig. 8 — full-duplex lower bounds; general row = broadcasting constants c(s−1) of [22,2]".into(),
-        columns: periods.iter().map(|p| p.label()).collect(),
-        rows,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig4_row_matches_paper() {
-        let t = fig4();
-        assert_eq!(t.rows.len(), 1);
-        let vals: Vec<f64> = t.rows[0].cells.iter().map(|c| c.value).collect();
-        let paper = [2.8808, 1.8133, 1.6502, 1.5363, 1.5021, 1.4721, 1.4404];
-        for (got, want) in vals.iter().zip(paper) {
-            assert!((got - want).abs() < 1.2e-4, "{got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn fig5_has_all_families_and_sane_values() {
-        let t = fig5();
-        assert_eq!(t.rows.len(), 10); // 5 families × 2 degrees
-        assert_eq!(t.columns.len(), 6);
-        for row in &t.rows {
-            for (cell, col) in row.cells.iter().zip(&t.columns) {
-                assert!(
-                    cell.value >= 1.4404 - 1e-6 && cell.value <= 3.0,
-                    "{} {col}: {}",
-                    row.label,
-                    cell.value
-                );
-            }
-            // e(s) non-increasing in s within a row.
-            for w in row.cells.windows(2) {
-                assert!(w[0].value >= w[1].value - 1e-9, "{}", row.label);
-            }
-        }
-    }
-
-    #[test]
-    fn fig5_db_s4_is_starred_wbf_s4_is_not() {
-        let t = fig5();
-        let db2 = t.rows.iter().find(|r| r.label == "DB(2,D)").unwrap();
-        let wbf2 = t.rows.iter().find(|r| r.label == "WBF(2,D)").unwrap();
-        // Column order is s=3..8, so s=4 is index 1.
-        assert!(db2.cells[1].starred, "DB(2,D) s=4 coincides with Fig. 4");
-        assert!(!wbf2.cells[1].starred, "WBF(2,D) s=4 is an improvement");
-        assert!((wbf2.cells[1].value - 2.0218).abs() < 5e-4);
-    }
-
-    #[test]
-    fn fig6_rows_and_diameter_column() {
-        let t = fig6();
-        assert_eq!(t.rows.len(), 10);
-        let wbf2 = t.rows.iter().find(|r| r.label == "WBF(2,D)").unwrap();
-        assert!((wbf2.cells[0].value - 1.9750).abs() < 5e-4);
-        assert!((wbf2.cells[1].value - 1.5).abs() < 1e-12);
-        // Every non-systolic bound beats (or equals) its diameter bound
-        // for d = 2 families except de-Bruijn-like diameters of 1.0.
-        for row in &t.rows {
-            assert!(row.cells[0].value >= 1.4404 - 1e-6, "{}", row.label);
-        }
-    }
-
-    #[test]
-    fn fig8_general_row_is_broadcast_constants() {
-        let t = fig8();
-        let general = &t.rows[0];
-        // Columns s = 3..8 equal the d-bonacci broadcasting constants
-        // c(s−1); the ∞ column is 1.
-        for (i, cell) in general.cells.iter().enumerate() {
-            let want = if i < 6 {
-                crate::broadcast::c_broadcast(3 + i - 1)
-            } else {
-                1.0
-            };
-            assert!(
-                (cell.value - want).abs() < 1e-6,
-                "col {i}: {} vs {want}",
-                cell.value
-            );
-        }
-        // The three constants the paper quotes.
-        assert!((general.cells[0].value - 1.4404).abs() < 1.2e-4);
-        assert!((general.cells[1].value - 1.1374).abs() < 1.2e-4);
-        assert!((general.cells[2].value - 1.0562).abs() < 1.2e-4);
-        // Separator rows dominate the general row entrywise.
-        for row in &t.rows[1..] {
-            for (c, g) in row.cells.iter().zip(&general.cells) {
-                assert!(c.value >= g.value - 1e-9, "{}", row.label);
-            }
-        }
-        // Directed WBF must not appear in the full-duplex table.
-        assert!(t.rows.iter().all(|r| !r.label.starts_with("WBF->")));
-    }
-
-    #[test]
-    fn render_contains_values_and_stars() {
-        let t = fig5();
-        let s = t.render();
-        assert!(s.contains("DB(2,D)"));
-        assert!(s.contains('*'));
-        assert!(s.contains("2.0218") || s.contains("2.021"));
-    }
 }

@@ -1,9 +1,9 @@
 //! Consistency of the literature registry: every quoted coefficient is
-//! sane, the entries agree with the figure tables the engine
-//! regenerates, and no lower bound crosses a matching upper bound.
+//! sane, the entries agree with the figure cells the engine computes,
+//! and no lower bound crosses a matching upper bound.
 
 use sg_bounds::registry::{known_results, upper_bounds_for, BoundKind, LiteratureEntry};
-use sg_bounds::{c_broadcast, e_general_nonsystolic, e_separator, fig4, fig5, fig6, fig8};
+use sg_bounds::{c_broadcast, e_coefficient, e_general_nonsystolic, e_separator};
 use sg_bounds::{BoundMode, Period};
 use sg_graphs::separator::{params_de_bruijn, params_wbf_undirected};
 
@@ -33,10 +33,9 @@ fn general_lower_bound_matches_fig4_limit() {
         .find(|e| e.network == "any graph" && e.kind == BoundKind::LowerBound)
         .expect("generic gossip lower bound");
     assert!((quoted.coefficient - e_general_nonsystolic()).abs() < 1.2e-4);
-    // …and the last cell of the regenerated Fig. 4 row agrees.
-    let fig4 = fig4();
-    let last = fig4.rows[0].cells.last().expect("s = ∞ column");
-    assert!((quoted.coefficient - last.value).abs() < 1.2e-4);
+    // …and the s = ∞ cell of the Fig. 4 row agrees.
+    let last = e_coefficient(BoundMode::HalfDuplex, Period::NonSystolic);
+    assert!((quoted.coefficient - last).abs() < 1.2e-4);
 }
 
 #[test]
@@ -63,14 +62,13 @@ fn broadcast_constants_match_the_fig8_general_row() {
             c_broadcast(d)
         );
     }
-    // Cross-check against the regenerated Fig. 8 general row (columns
+    // Cross-check against the Fig. 8 general row (the cells at
     // s = 3, 4, 5 are c(2), c(3), c(4)).
-    let fig8 = fig8();
-    let general = &fig8.rows[0];
-    for (col, d) in [(0usize, 2usize), (1, 3), (2, 4)] {
+    for (s, d) in [(3usize, 2usize), (4, 3), (5, 4)] {
+        let cell = e_coefficient(BoundMode::FullDuplex, Period::Systolic(s));
         assert!(
-            (general.cells[col].value - c_broadcast(d)).abs() < 1.2e-4,
-            "Fig. 8 column {col} vs c({d})"
+            (cell - c_broadcast(d)).abs() < 1.2e-4,
+            "Fig. 8 s = {s} vs c({d})"
         );
     }
 }
@@ -140,46 +138,5 @@ fn paper_improves_on_the_quoted_broadcast_bounds() {
             "{family}: {ours} does not improve on [23]'s {}",
             broadcast_lb.coefficient
         );
-    }
-}
-
-#[test]
-fn figure_tables_stay_internally_consistent_with_the_registry_story() {
-    // Fig. 5's systolic cells never cross the [24] systolic upper
-    // bounds at the periods those constructions use (s ≥ 4), and every
-    // cell of Figs. 4–8 is positive and finite.
-    for table in [fig4(), fig5(), fig6(), fig8()] {
-        for row in &table.rows {
-            for cell in &row.cells {
-                assert!(
-                    cell.value.is_finite() && cell.value > 0.0,
-                    "{}: {} has a bad cell {}",
-                    table.title,
-                    row.label,
-                    cell.value
-                );
-            }
-        }
-    }
-    let fig5 = fig5();
-    for row in &fig5.rows {
-        let ubs = upper_bounds_for(row.label.as_str());
-        let systolic_ub: Vec<_> = ubs
-            .iter()
-            .filter(|e| e.problem == "systolic gossip")
-            .collect();
-        // Columns are s = 3..8; the [24] constructions need s >= 4.
-        for ub in systolic_ub {
-            for cell in &row.cells[1..] {
-                assert!(
-                    cell.value <= ub.coefficient + 1e-9,
-                    "{}: Fig. 5 cell {} crosses {} from {}",
-                    row.label,
-                    cell.value,
-                    ub.coefficient,
-                    ub.source
-                );
-            }
-        }
     }
 }

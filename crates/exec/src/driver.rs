@@ -22,7 +22,7 @@
 
 use crate::fault::FaultPlan;
 use crate::message::{Msg, NodeId};
-use crate::node::{node_schedules, Node, SystolicNode};
+use crate::node::{node_schedules, SystolicNode};
 use crate::report::RunReport;
 use sg_protocol::protocol::SystolicProtocol;
 
@@ -59,11 +59,11 @@ struct InFlight {
 /// Runs `f` over `(fleet index, node, slot)` across disjoint chunks of
 /// the fleet. Nodes only ever see their own slot, so chunk boundaries
 /// (and therefore the thread count) cannot affect results.
-fn for_each_node<N: Node, T: Send>(
-    nodes: &mut [N],
+fn for_each_node<T: Send>(
+    nodes: &mut [SystolicNode],
     slots: &mut [T],
     threads: usize,
-    f: impl Fn(usize, &mut N, &mut T) + Sync,
+    f: impl Fn(usize, &mut SystolicNode, &mut T) + Sync,
 ) {
     let threads = threads.max(1).min(nodes.len().max(1));
     if threads <= 1 {
@@ -92,13 +92,13 @@ fn for_each_node<N: Node, T: Send>(
 }
 
 /// The execution driver: a node fleet, a fault plan, and the round loop.
-pub struct Driver<N: Node> {
-    nodes: Vec<N>,
+pub struct Driver {
+    nodes: Vec<SystolicNode>,
     plan: FaultPlan,
     cfg: DriverConfig,
 }
 
-impl Driver<SystolicNode> {
+impl Driver {
     /// Builds a systolic fleet: one [`SystolicNode`] per vertex, each
     /// handed its slice of the compiled period via the same `init`
     /// structure the wire transport ships.
@@ -110,16 +110,9 @@ impl Driver<SystolicNode> {
             .collect();
         Self { nodes, plan, cfg }
     }
-}
-
-impl<N: Node> Driver<N> {
-    /// A driver over an arbitrary pre-built fleet.
-    pub fn new(nodes: Vec<N>, plan: FaultPlan, cfg: DriverConfig) -> Self {
-        Self { nodes, plan, cfg }
-    }
 
     /// Collects a node's pending `done` announcement into the report.
-    fn collect_done(report: &mut RunReport, node: &mut N, record: bool) {
+    fn collect_done(report: &mut RunReport, node: &mut SystolicNode, record: bool) {
         if let Some(Msg::Done { from, round, count }) = node.take_done() {
             report.done_msgs += 1;
             if record {

@@ -6,10 +6,10 @@
 //!
 //! * [`message`] — the five typed JSONL wire messages (`init`, `round`,
 //!   `gossip`, `ack`, `done`) and their JSONL codec;
-//! * [`node`] — the [`Node`] trait and [`SystolicNode`]: one vertex of
-//!   a compiled [`sg_protocol::protocol::SystolicProtocol`], sending
-//!   deltas on its scheduled arcs with `others_know`-bounded
-//!   retransmission (the repeating period *is* the retry loop);
+//! * [`node`] — [`SystolicNode`]: one vertex of a compiled
+//!   [`sg_protocol::protocol::SystolicProtocol`], sending deltas on its
+//!   scheduled arcs with `others_know`-bounded retransmission (the
+//!   repeating period *is* the retry loop);
 //! * [`fault`] — declarative [`FaultPlan`]s (link drops, delivery
 //!   delays, crash/restart) with counter-based sampling: every fault
 //!   decision is a pure function of `(seed, round, link, seq)`;
@@ -39,7 +39,7 @@ pub mod transport;
 pub use driver::{execute_protocol, Driver, DriverConfig};
 pub use fault::{Crash, FaultPlan};
 pub use message::{decode, encode, Msg, NodeId, WireError};
-pub use node::{node_schedules, Node, SystolicNode};
+pub use node::{node_schedules, SystolicNode};
 pub use report::RunReport;
 pub use transport::{
     drive_round, serve_node, serve_stdio, ChannelTransport, LineTransport, Transport,

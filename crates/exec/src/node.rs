@@ -1,4 +1,4 @@
-//! The [`Node`] trait and its systolic implementation.
+//! [`SystolicNode`]: one vertex of an executed systolic protocol.
 //!
 //! A [`SystolicNode`] runs one vertex of a compiled schedule: each round
 //! it sends on its scheduled arcs — but only the items it believes the
@@ -72,37 +72,6 @@ impl Bits {
     }
 }
 
-/// One vertex of the executed network.
-///
-/// The driver calls [`Node::on_round`] with beginning-of-round state
-/// (sends are computed *before* the round's deliveries, matching the
-/// Definition 3.1 snapshot semantics of the simulator), then delivers
-/// the round's arrivals through [`Node::on_message`].
-pub trait Node: Send {
-    /// The vertex this node runs.
-    fn id(&self) -> NodeId;
-    /// Produces the round's outgoing messages: queued acks first, then
-    /// the scheduled gossip sends.
-    fn on_round(&mut self, round: u64) -> Vec<Msg>;
-    /// Delivers one routed message (gossip or ack).
-    fn on_message(&mut self, msg: &Msg);
-    /// End-of-round bookkeeping after the round's deliveries: stamps
-    /// completion with `round` so the `done` announcement carries the
-    /// round it actually happened in.
-    fn end_round(&mut self, round: u64);
-    /// The `done` announcement, yielded exactly once after the node
-    /// first holds all items.
-    fn take_done(&mut self) -> Option<Msg>;
-    /// Gossip sends that repeated at least one already-sent item.
-    fn retransmissions(&self) -> u64 {
-        0
-    }
-    /// `true` once the node holds all `n` items.
-    fn is_complete(&self) -> bool;
-    /// Number of items currently held.
-    fn items_known(&self) -> u32;
-}
-
 /// Per-target estimate state of a [`SystolicNode`].
 #[derive(Debug, Clone)]
 struct TargetState {
@@ -113,7 +82,13 @@ struct TargetState {
     sent: Bits,
 }
 
-/// The systolic [`Node`]: one vertex of a compiled [`SystolicProtocol`].
+/// One vertex of the executed network, running its slice of a compiled
+/// [`SystolicProtocol`].
+///
+/// The driver calls [`SystolicNode::on_round`] with beginning-of-round
+/// state (sends are computed *before* the round's deliveries, matching
+/// the Definition 3.1 snapshot semantics of the simulator), then delivers
+/// the round's arrivals through [`SystolicNode::on_message`].
 #[derive(Debug, Clone)]
 pub struct SystolicNode {
     id: NodeId,
@@ -202,14 +177,15 @@ impl SystolicNode {
             });
         }
     }
-}
 
-impl Node for SystolicNode {
-    fn id(&self) -> NodeId {
+    /// The vertex this node runs.
+    pub fn id(&self) -> NodeId {
         self.id
     }
 
-    fn on_round(&mut self, round: u64) -> Vec<Msg> {
+    /// Produces the round's outgoing messages: queued acks first, then
+    /// the scheduled gossip sends.
+    pub fn on_round(&mut self, round: u64) -> Vec<Msg> {
         let mut out = std::mem::take(&mut self.pending);
         if self.schedule.is_empty() {
             return out;
@@ -246,7 +222,8 @@ impl Node for SystolicNode {
         out
     }
 
-    fn on_message(&mut self, msg: &Msg) {
+    /// Delivers one routed message (gossip or ack).
+    pub fn on_message(&mut self, msg: &Msg) {
         match msg {
             Msg::Gossip {
                 from, seq, items, ..
@@ -282,23 +259,31 @@ impl Node for SystolicNode {
         }
     }
 
-    fn end_round(&mut self, round: u64) {
+    /// End-of-round bookkeeping after the round's deliveries: stamps
+    /// completion with `round` so the `done` announcement carries the
+    /// round it actually happened in.
+    pub fn end_round(&mut self, round: u64) {
         self.check_complete(round);
     }
 
-    fn take_done(&mut self) -> Option<Msg> {
+    /// The `done` announcement, yielded exactly once after the node
+    /// first holds all items.
+    pub fn take_done(&mut self) -> Option<Msg> {
         self.done.take()
     }
 
-    fn is_complete(&self) -> bool {
+    /// `true` once the node holds all `n` items.
+    pub fn is_complete(&self) -> bool {
         self.complete_at.is_some()
     }
 
-    fn items_known(&self) -> u32 {
+    /// Number of items currently held.
+    pub fn items_known(&self) -> u32 {
         self.knowledge.count()
     }
 
-    fn retransmissions(&self) -> u64 {
+    /// Gossip sends that repeated at least one already-sent item.
+    pub fn retransmissions(&self) -> u64 {
         self.retransmissions
     }
 }

@@ -11,7 +11,7 @@
 //! completion happens), and a driver-sent `done` shuts the loop down.
 
 use crate::message::{decode, encode, Msg, NodeId};
-use crate::node::{Node, SystolicNode};
+use crate::node::SystolicNode;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
 use std::sync::mpsc::{Receiver, RecvError, Sender};

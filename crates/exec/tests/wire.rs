@@ -3,7 +3,7 @@
 //! node stepped in-process.
 
 use sg_exec::{
-    drive_round, encode, node_schedules, serve_node, ChannelTransport, LineTransport, Msg, Node,
+    drive_round, encode, node_schedules, serve_node, ChannelTransport, LineTransport, Msg,
     SystolicNode, Transport,
 };
 use std::io::BufReader;

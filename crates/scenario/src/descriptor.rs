@@ -271,21 +271,9 @@ impl Scenario {
         self
     }
 
-    /// Sets the search effort knobs.
-    pub fn search_spec(mut self, spec: SearchSpec) -> Self {
-        self.search = spec;
-        self
-    }
-
     /// Sets the execution fault plan.
     pub fn exec_spec(mut self, spec: ExecSpec) -> Self {
         self.exec = spec;
-        self
-    }
-
-    /// Sets the enumeration knobs.
-    pub fn enumerate_spec(mut self, spec: EnumerateSpec) -> Self {
-        self.enumerate = spec;
         self
     }
 

@@ -923,13 +923,11 @@ fn search_unit(net: &Network, cx: &UnitCx) -> NetOut {
             continue;
         };
         let cfg = SearchConfig {
-            min_period: s,
-            max_period: s,
+            period: s,
             restarts: cx.scenario.search.restarts,
             iterations: cx.scenario.search.iterations,
             seed: cx.scenario.search.seed,
             threads: cx.sim_threads.max(1),
-            ..Default::default()
         };
         let found = search_with_oracle(cx.cache.oracle(), net, &g, diameter, mode, &cfg);
         match (&found.certificate, found.best_rounds) {

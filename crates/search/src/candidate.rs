@@ -29,11 +29,6 @@ impl Candidate {
         Self { rounds, mode }
     }
 
-    /// A candidate copying one period of an existing protocol.
-    pub fn from_protocol(sp: &SystolicProtocol) -> Self {
-        Self::new(sp.period().to_vec(), sp.mode())
-    }
-
     /// The period length `s`.
     pub fn s(&self) -> usize {
         self.rounds.len()
@@ -60,7 +55,7 @@ mod tests {
     #[test]
     fn round_trips_through_protocol() {
         let sp = builders::path_rrll(6);
-        let c = Candidate::from_protocol(&sp);
+        let c = Candidate::new(sp.period().to_vec(), sp.mode());
         assert_eq!(c.s(), 4);
         assert_eq!(c.to_protocol(), sp);
         c.validate(&generators::path(6)).expect("valid");

@@ -1,9 +1,9 @@
 //! The multi-start simulated-annealing driver.
 //!
-//! The search space is the set of valid period-`p` round schedules for a
-//! `(network, mode)` pair; the driver runs one independent annealing
-//! chain per `(period, restart)` job, fanned out by [`sg_sim::fan_out()`]
-//! over the thread budget. Each chain is
+//! The search space is the set of valid round schedules of one exact
+//! period `s` for a `(network, mode)` pair; the driver runs one
+//! independent annealing chain per restart, fanned out by
+//! [`sg_sim::fan_out()`] over the thread budget. Each chain is
 //! seeded deterministically from `(seed, period, restart)`, evaluates
 //! candidates through the compiled-schedule engine with an
 //! incumbent-based horizon cutoff
@@ -23,31 +23,29 @@ use sg_protocol::protocol::SystolicProtocol;
 use sg_sim::{fan_out, CompiledSchedule, CompletionCursor, Knowledge};
 use systolic_gossip::{BoundOracle, Network};
 
+/// Initial annealing temperature, in rounds of gossip time.
+const INIT_TEMPERATURE: f64 = 3.0;
+
+/// Geometric cooling factor per iteration.
+const COOLING: f64 = 0.995;
+
+/// Rounds past the incumbent a candidate may run before the horizon
+/// aborts it (the SA still needs to see mildly-worse candidates).
+const HORIZON_SLACK: usize = 8;
+
 /// Knobs of one search.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchConfig {
-    /// Smallest period the search may visit (`>= 2`; the bound engine's
+    /// The exact systolic period to search (`>= 2`; the bound engine's
     /// period taxonomy starts there).
-    pub min_period: usize,
-    /// Largest period (equal to `min_period` for an exact-period search).
-    pub max_period: usize,
-    /// Independent annealing chains per period.
+    pub period: usize,
+    /// Independent annealing chains.
     pub restarts: usize,
     /// Mutation/evaluation steps per chain.
     pub iterations: usize,
     /// Master seed; every chain derives its own stream from
     /// `(seed, period, restart)`.
     pub seed: u64,
-    /// Initial annealing temperature, in rounds of gossip time.
-    pub init_temperature: f64,
-    /// Geometric cooling factor per iteration.
-    pub cooling: f64,
-    /// Rounds past the incumbent a candidate may run before the horizon
-    /// aborts it (the SA still needs to see mildly-worse candidates).
-    pub horizon_slack: usize,
-    /// Simulation round budget per evaluation (`0` = derive `40·n + 200`,
-    /// the conformance suite's generous default).
-    pub sim_budget: usize,
     /// Thread budget across chains, the calling thread counted (`0` and
     /// `1` both mean sequential; only `BatchOptions::threads` in
     /// `sg-scenario` reads `0` as one per core). Results are identical
@@ -58,15 +56,10 @@ pub struct SearchConfig {
 impl Default for SearchConfig {
     fn default() -> Self {
         Self {
-            min_period: 2,
-            max_period: 4,
+            period: 2,
             restarts: 8,
             iterations: 600,
             seed: 1997,
-            init_temperature: 3.0,
-            cooling: 0.995,
-            horizon_slack: 8,
-            sim_budget: 0,
             threads: 1,
         }
     }
@@ -75,17 +68,8 @@ impl Default for SearchConfig {
 impl SearchConfig {
     /// An exact-period search at `s`.
     pub fn exact_period(mut self, s: usize) -> Self {
-        self.min_period = s;
-        self.max_period = s;
+        self.period = s;
         self
-    }
-
-    fn effective_budget(&self, n: usize) -> usize {
-        if self.sim_budget > 0 {
-            self.sim_budget
-        } else {
-            40 * n + 200
-        }
     }
 }
 
@@ -102,7 +86,7 @@ pub struct SearchOutcome {
     pub certificate: Option<Certificate>,
     /// Total candidate evaluations across all chains.
     pub evaluations: usize,
-    /// Chains run (periods × restarts).
+    /// Chains run (one per restart).
     pub chains: usize,
 }
 
@@ -164,7 +148,7 @@ fn run_chain(
     start: Candidate,
     seed: u64,
     budget: usize,
-    cfg: &SearchConfig,
+    iterations: usize,
 ) -> ChainResult {
     let n = g.vertex_count();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -175,14 +159,14 @@ fn run_chain(
     let mut best_cost = cur_cost;
     let mut best_completed = cur_completed;
     let mut evaluations = 1usize;
-    let mut temp = cfg.init_temperature;
-    for _ in 0..cfg.iterations {
+    let mut temp = INIT_TEMPERATURE;
+    for _ in 0..iterations {
         let mut cand = cur.clone();
         kernel.mutate(&mut cand, &mut rng);
         debug_assert!(cand.validate(g).is_ok(), "mutation broke validity");
         // Incumbent horizon: a candidate that has not completed within
         // `cur + slack` rounds cannot be accepted cheaply — stop it there.
-        let horizon = (cur_cost.ceil() as usize).saturating_add(cfg.horizon_slack);
+        let horizon = (cur_cost.ceil() as usize).saturating_add(HORIZON_SLACK);
         let (cost, completed) = evaluate(&cand, n, budget, Some(horizon.min(budget)));
         evaluations += 1;
         let accept =
@@ -197,7 +181,7 @@ fn run_chain(
                 best_completed = cur_completed;
             }
         }
-        temp *= cfg.cooling;
+        temp *= COOLING;
     }
     ChainResult {
         rounds: best.rounds,
@@ -208,25 +192,13 @@ fn run_chain(
 }
 
 /// Runs the full search for `net` in `mode`, building the graph and
-/// measuring its diameter on the spot. See [`search_on`] for the
-/// cache-friendly entry point the batch runner uses.
+/// measuring its diameter on the spot and certifying against a throwaway
+/// bound oracle. Batch callers with a cached graph and a shared oracle
+/// use [`search_with_oracle`].
 pub fn search(net: &Network, mode: Mode, cfg: &SearchConfig) -> SearchOutcome {
     let g = net.build();
     let diameter = sg_graphs::traversal::diameter(&g);
-    search_on(net, &g, diameter, mode, cfg)
-}
-
-/// [`search`] on an already-built digraph with an already-measured
-/// diameter, certifying against a throwaway bound oracle. Batch callers
-/// with a shared oracle use [`search_with_oracle`].
-pub fn search_on(
-    net: &Network,
-    g: &Digraph,
-    diameter: Option<u32>,
-    mode: Mode,
-    cfg: &SearchConfig,
-) -> SearchOutcome {
-    search_with_oracle(&BoundOracle::new(), net, g, diameter, mode, cfg)
+    search_with_oracle(&BoundOracle::new(), net, &g, diameter, mode, cfg)
 }
 
 /// The full search against a shared memoizing [`BoundOracle`] — repeated
@@ -245,38 +217,35 @@ pub fn search_with_oracle(
     cfg: &SearchConfig,
 ) -> SearchOutcome {
     assert!(
-        cfg.min_period >= 2 && cfg.min_period <= cfg.max_period,
-        "search needs 2 <= min_period <= max_period, got {}..={}",
-        cfg.min_period,
-        cfg.max_period
+        cfg.period >= 2,
+        "search needs a period >= 2, got {}",
+        cfg.period
     );
     assert!(cfg.restarts >= 1, "search needs at least one restart");
-    let n = g.vertex_count();
-    let budget = cfg.effective_budget(n);
-    let kernel = MutationKernel::new(g, mode, cfg.min_period, cfg.max_period);
+    let s = cfg.period;
+    // Simulation rounds per evaluation: the conformance suite's generous
+    // default.
+    let budget = 40 * g.vertex_count() + 200;
+    let kernel = MutationKernel::new(g, mode);
     let seeds = seed_protocols(net, g, mode);
 
-    // One job per (period, restart); each derives its start and rng
-    // stream from its coordinates alone.
-    let jobs: Vec<(usize, usize)> = (cfg.min_period..=cfg.max_period)
-        .flat_map(|p| (0..cfg.restarts).map(move |r| (p, r)))
-        .collect();
-    let start_of = |p: usize, r: usize| -> Candidate {
+    // One chain per restart; each derives its start and rng stream from
+    // `(seed, period, restart)` alone.
+    let start_of = |r: usize| -> Candidate {
         if r < seeds.len() {
-            fit_to_period(&seeds[r], p, mode)
+            fit_to_period(&seeds[r], s, mode)
         } else {
-            let mut rng = StdRng::seed_from_u64(chain_seed(cfg.seed ^ 0xA5A5, p, r));
-            kernel.random_candidate(p, &mut rng)
+            let mut rng = StdRng::seed_from_u64(chain_seed(cfg.seed ^ 0xA5A5, s, r));
+            kernel.random_candidate(s, &mut rng)
         }
     };
 
     let mut results: Vec<(usize, ChainResult)> =
-        fan_out(cfg.threads, jobs.len(), Vec::new, |done, i| {
-            let (p, r) = jobs[i];
-            let start = start_of(p, r);
+        fan_out(cfg.threads, cfg.restarts, Vec::new, |done, r| {
+            let seed = chain_seed(cfg.seed, s, r);
             done.push((
-                i,
-                run_chain(g, &kernel, start, chain_seed(cfg.seed, p, r), budget, cfg),
+                r,
+                run_chain(g, &kernel, start_of(r), seed, budget, cfg.iterations),
             ));
         })
         .into_iter()
@@ -285,7 +254,7 @@ pub fn search_with_oracle(
     results.sort_by_key(|(i, _)| *i);
 
     // Deterministic reduction: completing chains beat non-completing
-    // ones, then lower cost, then (stable) lower job index.
+    // ones, then lower cost, then (stable) lower restart index.
     let evaluations: usize = results.iter().map(|(_, r)| r.evaluations).sum();
     let chains = results.len();
     let (_, winner) = results
@@ -372,27 +341,23 @@ mod tests {
     fn evaluation_counter_and_chain_count_add_up() {
         let net = Network::Cycle { n: 6 };
         let cfg = SearchConfig {
-            min_period: 2,
-            max_period: 3,
             restarts: 2,
             iterations: 50,
             seed: 9,
             ..Default::default()
-        };
+        }
+        .exact_period(3);
         let out = search(&net, Mode::FullDuplex, &cfg);
-        assert_eq!(out.chains, 4); // 2 periods × 2 restarts
-        assert_eq!(out.evaluations, 4 * 51); // initial eval + iterations
+        assert_eq!(out.chains, 2); // one chain per restart
+        assert_eq!(out.evaluations, 2 * 51); // initial eval + iterations
     }
 
+    /// A search runs at one exact period; below 2 it panics.
     #[test]
-    #[should_panic(expected = "min_period")]
+    #[should_panic(expected = "period >= 2")]
     fn rejects_degenerate_period_band() {
         let net = Network::Path { n: 4 };
-        let cfg = SearchConfig {
-            min_period: 1,
-            max_period: 1,
-            ..Default::default()
-        };
+        let cfg = SearchConfig::default().exact_period(1);
         let _ = search(&net, Mode::HalfDuplex, &cfg);
     }
 }

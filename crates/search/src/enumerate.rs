@@ -140,17 +140,19 @@ pub const SYMMETRY_ELEMENT_CAP: usize = 4096;
 /// enough slack that an early-finishing worker keeps claiming work.
 const TASKS_PER_THREAD: usize = 16;
 
+/// Hard cap on candidate rounds per period slot; exceeding it means the
+/// instance is too large for exact enumeration and the run panics with a
+/// clear message instead of hanging.
+const MAX_ROUND_CANDIDATES: usize = 20_000;
+
+/// Hard cap on visited search-tree nodes (same rationale).
+const MAX_NODES: usize = 20_000_000;
+
 /// Knobs of one exact enumeration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnumerateConfig {
     /// The exact systolic period to enumerate (`>= 2`).
     pub period: usize,
-    /// Hard cap on candidate rounds per period slot; exceeding it means
-    /// the instance is too large for exact enumeration and the run
-    /// panics with a clear message instead of hanging.
-    pub max_round_candidates: usize,
-    /// Hard cap on visited search-tree nodes (same rationale).
-    pub max_nodes: usize,
     /// Thread budget for the exhaustive pass: the calling thread plus
     /// `threads − 1` scoped workers. `0` and `1` both mean sequential
     /// (only `BatchOptions::threads` in `sg-scenario` reads `0` as one
@@ -163,8 +165,6 @@ impl Default for EnumerateConfig {
     fn default() -> Self {
         Self {
             period: 2,
-            max_round_candidates: 20_000,
-            max_nodes: 20_000_000,
             threads: 1,
         }
     }
@@ -913,7 +913,6 @@ struct PassShared {
     /// Completions are only worth recording at or under this bound, and
     /// subtrees that cannot reach it are cut.
     cap: usize,
-    max_nodes: usize,
     /// Front-cache slot count; `None` sizes it to [`FRONT_CACHE_BYTES`].
     front_slots: Option<usize>,
 }
@@ -937,11 +936,11 @@ impl PassShared {
             net.name()
         );
         assert!(
-            candidates.len() <= cfg.max_round_candidates,
+            candidates.len() <= MAX_ROUND_CANDIDATES,
             "{}: {} candidate rounds exceed the exact-enumeration cap {}",
             net.name(),
             candidates.len(),
-            cfg.max_round_candidates
+            MAX_ROUND_CANDIDATES
         );
 
         // Symmetry + signature machinery: element lists up to the cap,
@@ -998,7 +997,6 @@ impl PassShared {
             slots: cfg.period,
             n,
             cap: 0,
-            max_nodes: cfg.max_nodes,
             front_slots,
         }
     }
@@ -1216,9 +1214,8 @@ fn pass_node(
     let shared = ctx.shared;
     let visited = shared.nodes.fetch_add(1, AtomicOrd::Relaxed) + 1;
     assert!(
-        visited <= shared.max_nodes,
-        "exact enumeration exceeded {} nodes — instance too large",
-        shared.max_nodes
+        visited <= MAX_NODES,
+        "exact enumeration exceeded {MAX_NODES} nodes — instance too large"
     );
     let slot = prefix.len();
     let symmetric = shared.sym.nontrivial(stab);
@@ -1594,6 +1591,17 @@ mod tests {
         let measured =
             sg_sim::engine::systolic_gossip_time(&sp, 6, 1000).expect("witness completes");
         assert_eq!(measured, t);
+    }
+
+    #[test]
+    fn knodel_w24_half_duplex_s3_best_seed_is_one_round_over() {
+        // The brute-force oracle's optimum here is 4: with a 5-round
+        // seed the engine runs one pass at cap 4, so that pass alone
+        // must reach the cap exactly (`t + d <= cap` at its edge).
+        let net = Network::Knodel { delta: 2, n: 4 };
+        let g = net.build();
+        let (t, _) = best_seed(&net, &g, Mode::HalfDuplex, 3).expect("a seed completes");
+        assert_eq!(t, 5);
     }
 
     #[test]

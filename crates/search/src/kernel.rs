@@ -5,9 +5,9 @@
 //! drawn from the network's arc set, additions evict conflicting arcs
 //! first (so each round stays an endpoint-disjoint matching), and in
 //! full-duplex mode arcs are always inserted and removed as opposite
-//! pairs. The operators are exactly the moves named by the search issue:
-//! arc flips (add / remove / redirect), round swaps, round resampling,
-//! and period grow / shrink within the configured band.
+//! pairs. The operators are arc flips (add / remove / redirect), round
+//! swaps and round resampling; none changes the period, so a candidate
+//! keeps the length it started with.
 
 use crate::candidate::Candidate;
 use rand::rngs::StdRng;
@@ -17,8 +17,7 @@ use sg_graphs::digraph::{Arc, Digraph};
 use sg_protocol::mode::Mode;
 use sg_protocol::round::Round;
 
-/// Precomputed move tables for one `(network, mode)` pair, plus the
-/// period band mutations must stay inside.
+/// Precomputed move tables for one `(network, mode)` pair.
 #[derive(Debug, Clone)]
 pub struct MutationKernel {
     /// All arcs of the network (the add-pool in directed/half-duplex).
@@ -27,18 +26,11 @@ pub struct MutationKernel {
     edges: Vec<(usize, usize)>,
     n: usize,
     mode: Mode,
-    min_period: usize,
-    max_period: usize,
 }
 
 impl MutationKernel {
-    /// Builds the kernel. `min_period >= 1`, `min_period <= max_period`;
-    /// set them equal for an exact-period search.
-    pub fn new(g: &Digraph, mode: Mode, min_period: usize, max_period: usize) -> Self {
-        assert!(
-            1 <= min_period && min_period <= max_period,
-            "period band must satisfy 1 <= min <= max, got {min_period}..={max_period}"
-        );
+    /// Builds the kernel.
+    pub fn new(g: &Digraph, mode: Mode) -> Self {
         if mode.requires_symmetric_graph() {
             assert!(g.is_symmetric(), "{mode} mode needs an undirected network");
         }
@@ -53,8 +45,6 @@ impl MutationKernel {
             },
             n: g.vertex_count(),
             mode,
-            min_period,
-            max_period,
         }
     }
 
@@ -107,26 +97,15 @@ impl MutationKernel {
     }
 
     /// Applies one random mutation to `cand`, respecting the mode's
-    /// matching structure and the period band.
+    /// matching structure; the period never changes.
     pub fn mutate(&self, cand: &mut Candidate, rng: &mut StdRng) {
         // Operator mix: arc-level edits dominate (they are the fine-
-        // grained moves), with occasional round- and period-level jumps.
-        // An exact-period band renormalizes the mix over the first four
-        // operators instead of wasting ~10% of rolls on guaranteed
-        // no-ops the driver would still pay a full evaluation for.
-        let span = if self.min_period == self.max_period {
-            90
-        } else {
-            100
-        };
-        let roll = rng.gen_range(0..span);
-        match roll {
+        // grained moves), with occasional round-level jumps.
+        match rng.gen_range(0..90) {
             0..=44 => self.add_activation(cand, rng),
             45..=69 => self.remove_activation(cand, rng),
             70..=79 => self.swap_rounds(cand, rng),
-            80..=89 => self.resample_round(cand, rng),
-            90..=94 => self.grow_period(cand, rng),
-            _ => self.shrink_period(cand, rng),
+            _ => self.resample_round(cand, rng),
         }
     }
 
@@ -186,30 +165,6 @@ impl MutationKernel {
         let r = rng.gen_range(0..cand.rounds.len());
         cand.rounds[r] = self.random_round(rng);
     }
-
-    /// Inserts a round (copy of an existing one, or fresh) at a random
-    /// position, if the band allows a longer period.
-    fn grow_period(&self, cand: &mut Candidate, rng: &mut StdRng) {
-        if cand.rounds.len() >= self.max_period {
-            return;
-        }
-        let at = rng.gen_range(0..cand.rounds.len() + 1);
-        let round = if rng.gen::<bool>() {
-            cand.rounds[rng.gen_range(0..cand.rounds.len())].clone()
-        } else {
-            self.random_round(rng)
-        };
-        cand.rounds.insert(at, round);
-    }
-
-    /// Removes a random round, if the band allows a shorter period.
-    fn shrink_period(&self, cand: &mut Candidate, rng: &mut StdRng) {
-        if cand.rounds.len() <= self.min_period {
-            return;
-        }
-        let at = rng.gen_range(0..cand.rounds.len());
-        cand.rounds.remove(at);
-    }
 }
 
 /// `true` when the two arcs share an endpoint in the matching sense
@@ -230,15 +185,11 @@ mod tests {
     #[test]
     fn mutations_preserve_validity_half_duplex() {
         let g = generators::cycle(8);
-        let kernel = MutationKernel::new(&g, Mode::HalfDuplex, 2, 5);
+        let kernel = MutationKernel::new(&g, Mode::HalfDuplex);
         let mut rng = StdRng::seed_from_u64(11);
         let mut cand = kernel.random_candidate(3, &mut rng);
         for i in 0..500 {
             kernel.mutate(&mut cand, &mut rng);
-            assert!(
-                (2..=5).contains(&cand.s()),
-                "period left the band at step {i}"
-            );
             cand.validate(&g)
                 .unwrap_or_else(|e| panic!("step {i}: {e}"));
         }
@@ -247,7 +198,7 @@ mod tests {
     #[test]
     fn mutations_preserve_validity_full_duplex() {
         let g = generators::hypercube(3);
-        let kernel = MutationKernel::new(&g, Mode::FullDuplex, 2, 4);
+        let kernel = MutationKernel::new(&g, Mode::FullDuplex);
         let mut rng = StdRng::seed_from_u64(7);
         let mut cand = kernel.random_candidate(2, &mut rng);
         for i in 0..500 {
@@ -260,7 +211,7 @@ mod tests {
     #[test]
     fn mutations_preserve_validity_directed() {
         let g = generators::de_bruijn_directed(2, 3);
-        let kernel = MutationKernel::new(&g, Mode::Directed, 2, 3);
+        let kernel = MutationKernel::new(&g, Mode::Directed);
         let mut rng = StdRng::seed_from_u64(3);
         let mut cand = kernel.random_candidate(2, &mut rng);
         for i in 0..300 {
@@ -270,10 +221,11 @@ mod tests {
         }
     }
 
+    /// No operator changes the period: a search stays at its exact `s`.
     #[test]
     fn exact_period_band_is_fixed() {
         let g = generators::path(6);
-        let kernel = MutationKernel::new(&g, Mode::HalfDuplex, 3, 3);
+        let kernel = MutationKernel::new(&g, Mode::HalfDuplex);
         let mut rng = StdRng::seed_from_u64(1);
         let mut cand = kernel.random_candidate(3, &mut rng);
         for _ in 0..200 {
@@ -285,7 +237,7 @@ mod tests {
     #[test]
     fn random_rounds_are_nonempty_matchings_on_connected_graphs() {
         let g = generators::knodel(3, 16);
-        let kernel = MutationKernel::new(&g, Mode::FullDuplex, 2, 2);
+        let kernel = MutationKernel::new(&g, Mode::FullDuplex);
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..50 {
             let r = kernel.random_round(&mut rng);
@@ -298,6 +250,6 @@ mod tests {
     #[should_panic(expected = "undirected network")]
     fn full_duplex_kernel_rejects_directed_graphs() {
         let g = generators::de_bruijn_directed(2, 3);
-        let _ = MutationKernel::new(&g, Mode::FullDuplex, 2, 2);
+        let _ = MutationKernel::new(&g, Mode::FullDuplex);
     }
 }

@@ -9,14 +9,14 @@
 //!
 //! * [`candidate`] — the editable period-`p` round schedule;
 //! * [`kernel`] — the mode-respecting mutation kernel (arc flips, round
-//!   swaps and resampling, period grow/shrink) that keeps every candidate
-//!   valid by construction;
+//!   swaps and resampling) that keeps every candidate valid by
+//!   construction and its period fixed;
 //! * [`seeds`] — restart seeds from `sg_protocol::builders` and the
 //!   universal edge colorings, refitted to the requested period;
 //! * [`driver`] — the multi-start simulated-annealing driver: one
-//!   deterministic chain per `(period, restart)`, evaluated through the
-//!   compiled-schedule engine with an incumbent-based horizon cutoff,
-//!   bit-identical across thread counts;
+//!   deterministic chain per restart at one exact period, evaluated
+//!   through the compiled-schedule engine with an incumbent-based
+//!   horizon cutoff, bit-identical across thread counts;
 //! * [`certificate`] — the verdict against the paper's bounds (served
 //!   by the shared `BoundOracle`): `Optimal` when the found time meets
 //!   the strongest exact floor, `Gap(δ)` when it does not, `BoundSlack`
@@ -43,7 +43,7 @@ pub mod seeds;
 
 pub use candidate::Candidate;
 pub use certificate::{ceil_log2, certify, certify_with, Certificate, FloorSource, Verdict};
-pub use driver::{search, search_on, search_with_oracle, SearchConfig, SearchOutcome};
+pub use driver::{search, search_with_oracle, SearchConfig, SearchOutcome};
 pub use enumerate::{
     enumerate, enumerate_with_group, maximal_rounds, EnumerateConfig, EnumerateOutcome,
 };

@@ -293,3 +293,18 @@ fn knodel_period_three_matches_brute_force() {
     );
     assert!(out.met_floor);
 }
+
+/// Knödel `W(2,4)` in half-duplex at `s = 3`: the optimum is one round
+/// below the engine's best seed (5 rounds, pinned in `enumerate.rs`'s
+/// unit tests), so its single pass runs with the cap at the optimum and
+/// an off-by-one in the relaxation cut loses the answer.
+#[test]
+fn knodel_seed_beaten_by_one_matches_brute_force() {
+    check(
+        Network::Knodel { delta: 2, n: 4 },
+        Mode::HalfDuplex,
+        3,
+        (17, 8),
+        Some(4),
+    );
+}

@@ -136,11 +136,6 @@ impl ServerHandle {
         self.shared.shutdown.store(true, Ordering::Release);
     }
 
-    /// Has shutdown been requested?
-    pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
-    }
-
     /// Queries executing right now.
     pub fn inflight(&self) -> usize {
         self.shared.inflight.load(Ordering::Acquire)

@@ -146,17 +146,6 @@ pub fn systolic_gossip_time(sp: &SystolicProtocol, n: usize, max_rounds: usize) 
     run_systolic(sp, n, max_rounds, false).completed_at
 }
 
-/// [`systolic_gossip_time`] under an incumbent horizon: `Some(t)` only
-/// when the protocol gossips within `min(max_rounds, horizon)` rounds.
-pub fn systolic_gossip_time_with_horizon(
-    sp: &SystolicProtocol,
-    n: usize,
-    max_rounds: usize,
-    horizon: Option<Time>,
-) -> Option<usize> {
-    run_systolic_with_horizon(sp, n, max_rounds, horizon, false).completed_at
-}
-
 /// Broadcast time of `source`'s item under a systolic protocol: the first
 /// round after which everyone knows item `source`.
 pub fn systolic_broadcast_time(
@@ -301,14 +290,10 @@ mod tests {
         let sp = builders::path_rrll(n);
         let t = systolic_gossip_time(&sp, n, 200).expect("completes");
         // At or above the completion time the horizon is harmless…
-        assert_eq!(
-            systolic_gossip_time_with_horizon(&sp, n, 200, Some(t)),
-            Some(t)
-        );
-        assert_eq!(
-            systolic_gossip_time_with_horizon(&sp, n, 200, Some(t + 5)),
-            Some(t)
-        );
+        for horizon in [t, t + 5] {
+            let run = run_systolic_with_horizon(&sp, n, 200, Some(horizon), false);
+            assert_eq!(run.completed_at, Some(t));
+        }
         // …one round below it, the run aborts without completing, and the
         // trace shows exactly `horizon` rounds were executed.
         let cut = run_systolic_with_horizon(&sp, n, 200, Some(t - 1), true);

@@ -3,7 +3,8 @@
 //!
 //! Executes protocols under the semantics of Definition 3.1 — every
 //! transfer of a round reads the knowledge state at the *beginning* of the
-//! round — and measures gossip and broadcast completion times.
+//! round — and measures gossip completion times (and, for one item under
+//! a systolic protocol, its broadcast time).
 //!
 //! The hot path is the compiled-schedule engine: [`schedule`] precomputes
 //! each round's arc list, snapshot plan, and reusable buffers once per
@@ -28,13 +29,12 @@
 //! bit-identical to the retained naive oracle in [`mod@reference`],
 //! which the differential conformance suite (`tests/conformance.rs`)
 //! and the property tests enforce. The [`greedy`] module generates
-//! executable upper-bound protocols for networks without hand-built
-//! ones; [`trace`] records completion curves.
+//! executable upper-bound gossip protocols for networks without
+//! hand-built ones; [`trace`] records completion curves.
 
 #![forbid(unsafe_code)]
 
 pub mod bitset;
-pub mod broadcast;
 pub mod engine;
 pub mod fan_out;
 pub mod greedy;
@@ -47,10 +47,9 @@ pub mod sparse;
 pub mod trace;
 
 pub use bitset::{CompletionCursor, Knowledge};
-pub use broadcast::{greedy_broadcast, verify_broadcast, BroadcastOutcome};
 pub use engine::{
     apply_round, run_protocol, run_systolic, run_systolic_with_horizon, systolic_broadcast_time,
-    systolic_gossip_time, systolic_gossip_time_with_horizon, SimResult, Time,
+    systolic_gossip_time, SimResult, Time,
 };
 pub use fan_out::fan_out;
 pub use greedy::{greedy_gossip, GreedyOutcome};

@@ -1,8 +1,19 @@
 //! Integration: every numeric value the paper states must reproduce
 //! through the public API.
 
+use sg_scenario::{find, run_batch, BatchOptions};
 use systolic_gossip::prelude::*;
-use systolic_gossip::sg_bounds::tables;
+use systolic_gossip::sg_bounds::tables::FigTable;
+
+/// The rendered tables of the registry's `names` figure scenarios.
+fn figure_tables(names: &[&str]) -> Vec<FigTable> {
+    let scenarios: Vec<_> = names.iter().map(|n| find(n).expect(n)).collect();
+    run_batch(&scenarios, &BatchOptions::default())
+        .outcomes
+        .into_iter()
+        .map(|o| o.table.expect("figure scenario renders a table"))
+        .collect()
+}
 
 /// Fig. 4: e(3..8) and the s → ∞ limit (Section 1 lists all seven).
 #[test]
@@ -75,18 +86,18 @@ fn full_duplex_equals_broadcast() {
 /// Structural facts of the rendered tables.
 #[test]
 fn tables_shape_and_stars() {
-    let f4 = tables::fig4();
+    let [f4, f5, f6, f8]: [FigTable; 4] = figure_tables(&["fig4", "fig5", "fig6", "fig8"])
+        .try_into()
+        .expect("four tables");
     assert_eq!(f4.rows.len(), 1);
     assert_eq!(f4.columns.len(), 7);
 
-    let f5 = tables::fig5();
     assert_eq!(f5.rows.len(), 10);
     // DB(3,D) is fully starred for s >= 4 (the separator never improves
     // the general bound for degree 3 at these periods).
     let db3 = f5.rows.iter().find(|r| r.label == "DB(3,D)").unwrap();
     assert!(db3.cells[1..].iter().all(|c| c.starred));
 
-    let f6 = tables::fig6();
     // Every e(∞) value beats or matches the general 1.4404, and every
     // value beats its own diameter coefficient for these families.
     for row in &f6.rows {
@@ -98,7 +109,6 @@ fn tables_shape_and_stars() {
         );
     }
 
-    let f8 = tables::fig8();
     assert!(f8.rows.len() >= 9); // general + 4 families × 2 degrees
 }
 
