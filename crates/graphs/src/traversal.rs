@@ -1,5 +1,6 @@
 //! Breadth-first traversal, distances, diameter, connectivity and strongly
-//! connected components.
+//! connected components. The diameter runs 256 breadth-first searches at
+//! once, one bit each in a four-word row per vertex.
 //!
 //! Distances drive two parts of the reproduction: verifying the concrete
 //! separators of Lemma 3.1 (`dist(V1, V2)` must match the paper's claim)
@@ -58,29 +59,159 @@ pub fn set_distance(g: &Digraph, from: &[usize], to: &[usize]) -> Option<u32> {
         .filter(|&d| d != UNREACHABLE)
 }
 
-/// Eccentricity of `v`: the largest finite distance from `v`; `None` if
-/// some vertex is unreachable.
-pub fn eccentricity(g: &Digraph, v: usize) -> Option<u32> {
-    let dist = bfs_distances(g, v);
-    let mut ecc = 0;
-    for &d in &dist {
-        if d == UNREACHABLE {
-            return None;
-        }
-        ecc = ecc.max(d);
-    }
-    Some(ecc)
+/// Sources per block of [`diameter`]'s sweep.
+const BLOCK: usize = 256;
+
+/// One vertex's row in a block: bit `i` is the block's `i`-th source.
+type Row = [u64; BLOCK / 64];
+
+const EMPTY: Row = [0; BLOCK / 64];
+
+/// Exact diameter: the largest directed distance between two vertices;
+/// `None` when the digraph is not strongly connected (infinite diameter).
+///
+/// A bit-parallel BFS from 256 sources at a time. In a block each vertex
+/// has a four-word row of the sources that reach it within `t` arcs, and
+/// round `t + 1` ORs into every row the bits its in-neighbours gained in
+/// round `t` (their older bits are there already), so all 256 searches
+/// advance one level per round. Rounds run until one changes no row: the
+/// block's largest eccentricity is the round before it, if every row is
+/// full by then, and some vertex is unreachable otherwise. The diameter
+/// is the largest block value.
+///
+/// A round follows the out-arcs of the rows that changed in the previous
+/// one, or, when more than 3/8 of the rows changed, sweeps every row's
+/// in-arcs. A round thus costs at most `n + m` row operations of four
+/// words, and as a row changes at most 256 times in a block, a block
+/// costs `O(min(D, 256)·(n + m))` of them. The worst case is all-pairs
+/// BFS's `O(n·m)` steps, met on paths and cycles, where a row gains one
+/// or two bits a round; on expanders, whose rows fill in `O(log n)`
+/// rounds, the whole diameter costs `O(n·m·log n / 256)`.
+pub fn diameter(g: &Digraph) -> Option<u32> {
+    let n = g.vertex_count();
+    let mut sweep = Sweep {
+        seen: vec![EMPTY; n],
+        gained: vec![EMPTY; n],
+        next: vec![EMPTY; n],
+        changed: vec![0; n],
+        next_changed: vec![0; n],
+        written: vec![0; n],
+    };
+    (0..n).step_by(BLOCK).try_fold(0, |best, first| {
+        Some(best.max(sweep.eccentricity(g, first)?))
+    })
 }
 
-/// Exact diameter by all-pairs BFS (`O(n·m)`); fine for the instance sizes
-/// this workspace simulates. `None` when the digraph is not strongly
-/// connected (infinite diameter).
-pub fn diameter(g: &Digraph) -> Option<u32> {
-    let mut best = 0;
-    for v in 0..g.vertex_count() {
-        best = best.max(eccentricity(g, v)?);
+/// The buffers of [`diameter`]'s sweep, reused by every block. `gained`
+/// and `next` are the rounds' two buffers; between blocks all their rows
+/// are empty.
+struct Sweep {
+    /// The sources that reach each vertex so far.
+    seen: Vec<Row>,
+    /// The sources that first reached each vertex in the last round.
+    gained: Vec<Row>,
+    /// The sources that first reach each vertex in this round.
+    next: Vec<Row>,
+    /// The vertices whose `gained` row is not empty, as a prefix.
+    changed: Vec<u32>,
+    /// The vertices whose `next` row is not empty, as a prefix.
+    next_changed: Vec<u32>,
+    /// The last round of the block that wrote each vertex's `next` row:
+    /// the first write in a round stores, later ones OR.
+    written: Vec<u32>,
+}
+
+impl Sweep {
+    /// Largest eccentricity of the sources `first..first + 256` (fewer in
+    /// the last block), or `None` if one of them misses a vertex.
+    fn eccentricity(&mut self, g: &Digraph, first: usize) -> Option<u32> {
+        let Sweep {
+            seen,
+            gained,
+            next,
+            changed,
+            next_changed,
+            written,
+        } = self;
+        let n = g.vertex_count();
+        let k = BLOCK.min(n - first);
+        seen.fill(EMPTY);
+        written.fill(0);
+        for i in 0..k {
+            let v = first + i;
+            seen[v][i / 64] |= 1 << (i % 64);
+            gained[v] = seen[v];
+            changed[i] = v as u32;
+        }
+        let mut len = k;
+        let mut round = 0;
+        while len > 0 {
+            round += 1;
+            let mut next_len = 0;
+            let mut gain = |w: usize, new: Row, seen: &mut Row, next: &mut Row| {
+                or_into(seen, &new);
+                if written[w] == round {
+                    or_into(next, &new);
+                } else {
+                    written[w] = round;
+                    *next = new;
+                    next_changed[next_len] = w as u32;
+                    next_len += 1;
+                }
+            };
+            if 8 * len > 3 * n {
+                for w in 0..n {
+                    let mut bits = EMPTY;
+                    for &u in g.in_neighbors(w) {
+                        or_into(&mut bits, &gained[u as usize]);
+                    }
+                    let new = and_not(&bits, &seen[w]);
+                    if !same(&new, &EMPTY) {
+                        gain(w, new, &mut seen[w], &mut next[w]);
+                    }
+                }
+                for &v in &changed[..len] {
+                    gained[v as usize] = EMPTY;
+                }
+            } else {
+                for &v in &changed[..len] {
+                    // Cleared as it is read: a second pass over `changed`
+                    // to clear it measured ~30% slower on C₄₀₉₆.
+                    let bits = std::mem::replace(&mut gained[v as usize], EMPTY);
+                    for &w in g.out_neighbors(v as usize) {
+                        let w = w as usize;
+                        let new = and_not(&bits, &seen[w]);
+                        if !same(&new, &EMPTY) {
+                            gain(w, new, &mut seen[w], &mut next[w]);
+                        }
+                    }
+                }
+            }
+            std::mem::swap(changed, next_changed);
+            std::mem::swap(gained, next);
+            len = next_len;
+        }
+        let mut full = EMPTY;
+        for i in 0..k {
+            full[i / 64] |= 1 << (i % 64);
+        }
+        seen.iter().all(|row| same(row, &full)).then_some(round - 1)
     }
-    Some(best)
+}
+
+fn or_into(row: &mut Row, bits: &Row) {
+    for (r, b) in row.iter_mut().zip(bits) {
+        *r |= b;
+    }
+}
+
+/// `a == b`, without the call to `bcmp` that array equality can compile to.
+fn same(a: &Row, b: &Row) -> bool {
+    a.iter().zip(b).fold(0, |acc, (x, y)| acc | (x ^ y)) == 0
+}
+
+fn and_not(a: &Row, b: &Row) -> Row {
+    std::array::from_fn(|i| a[i] & !b[i])
 }
 
 /// `true` when every vertex reaches every other (strong connectivity):
@@ -258,8 +389,9 @@ mod tests {
     #[test]
     fn eccentricity_center_vs_leaf() {
         let g = path4();
-        assert_eq!(eccentricity(&g, 0), Some(3));
-        assert_eq!(eccentricity(&g, 1), Some(2));
+        let ecc = |v| bfs_distances(&g, v).into_iter().max();
+        assert_eq!(ecc(0), Some(3));
+        assert_eq!(ecc(1), Some(2));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use sg_graphs::digraph::{Arc, Digraph};
 use sg_graphs::generators;
 use sg_graphs::matching::{greedy_edge_coloring, is_matching, is_proper_edge_coloring};
 use sg_graphs::traversal::{
-    bfs_distances, is_strongly_connected, multi_source_bfs, tarjan_scc, UNREACHABLE,
+    bfs_distances, diameter, is_strongly_connected, multi_source_bfs, tarjan_scc, UNREACHABLE,
 };
 use sg_graphs::weighted::WeightedDigraph;
 
@@ -16,8 +16,42 @@ fn arcs_strategy(n: usize) -> impl Strategy<Value = Vec<Arc>> {
         .prop_map(|pairs| pairs.into_iter().map(|(u, v)| Arc::new(u, v)).collect())
 }
 
+/// The diameter oracle: the largest distance of a BFS from every vertex,
+/// `None` as soon as one of them misses a vertex.
+fn bfs_diameter(g: &Digraph) -> Option<u32> {
+    (0..g.vertex_count())
+        .flat_map(|v| bfs_distances(g, v))
+        .try_fold(0, |best, d| (d != UNREACHABLE).then(|| best.max(d)))
+}
+
+/// Digraphs on 0..=300 vertices, across the 64-bit words and 256-source
+/// blocks of `diameter`'s rows: up to `2n` random arcs, on top of the
+/// directed cycle `0 → 1 → ⋯ → n−1 → 0` in half the cases (strongly
+/// connected, with diameters from ~log n to n − 1), and symmetrically
+/// closed in half the cases.
+fn diameter_digraph() -> impl Strategy<Value = Digraph> {
+    (0usize..=300, 0u8..4).prop_flat_map(|(n, shape)| {
+        let hi = n.max(1);
+        proptest::collection::vec((0..hi, 0..hi), 0..=2 * n).prop_map(move |pairs| {
+            let ring = (0..n).filter(|_| shape & 1 == 1).map(|v| (v, (v + 1) % n));
+            let arcs = pairs.into_iter().chain(ring).map(|(u, v)| Arc::new(u, v));
+            let g = Digraph::from_arcs(n, arcs);
+            if shape & 2 == 2 {
+                g.symmetric_closure()
+            } else {
+                g
+            }
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn diameter_matches_all_pairs_bfs(g in diameter_digraph()) {
+        prop_assert_eq!(diameter(&g), bfs_diameter(&g), "n = {}", g.vertex_count());
+    }
 
     #[test]
     fn symmetric_closure_is_symmetric(arcs in arcs_strategy(12)) {
@@ -149,5 +183,41 @@ proptest! {
                 prop_assert!(d[v] <= d[u] + w as u64);
             }
         }
+    }
+}
+
+#[test]
+fn diameter_fixed_cases() {
+    let cases = [
+        ("n = 0", Digraph::from_arcs(0, []), Some(0)),
+        ("n = 1", Digraph::from_arcs(1, []), Some(0)),
+        (
+            "self-loop",
+            Digraph::from_arcs(1, [Arc::new(0, 0)]),
+            Some(0),
+        ),
+        (
+            "self-loops on an edge",
+            Digraph::from_arcs(2, [Arc::new(0, 0), Arc::new(0, 1), Arc::new(1, 0)]),
+            Some(1),
+        ),
+        (
+            "two components",
+            Digraph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+            None,
+        ),
+        ("P300", generators::path(300), Some(299)),
+        ("C1000", generators::cycle(1000), Some(500)),
+    ];
+    for (name, g, want) in &cases {
+        assert_eq!(diameter(g), *want, "{name}");
+        assert_eq!(bfs_diameter(g), *want, "{name}");
+    }
+    // Directed cycles and paths at either side of a word and a block.
+    for n in [63, 64, 65, 255, 256, 257, 511, 512, 513] {
+        assert_eq!(diameter(&generators::directed_cycle(n)), Some(n as u32 - 1));
+        assert_eq!(diameter(&generators::path(n)), Some(n as u32 - 1));
+        let one_way = Digraph::from_arcs(n, (1..n).map(|v| Arc::new(v - 1, v)));
+        assert_eq!(diameter(&one_way), None, "directed P{n}");
     }
 }

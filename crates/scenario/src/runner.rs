@@ -694,7 +694,8 @@ fn randomized_unit(net: &Network, cx: &UnitCx) -> NetOut {
     // The yardstick every randomized mean is measured against: at small
     // n the exact behaviour of the network's deterministic protocol
     // (with the oracle's strongest floor alongside); at large n only the
-    // ⌈lg n⌉ doubling floor — diameters and λ-searches are Ω(n²) there.
+    // ⌈lg n⌉ doubling floor. λ-searches are Ω(n²) there, and so is the
+    // diameter: its bit-parallel sweep runs n/256 blocks over all n rows.
     let mut optimum = None;
     let mut optimum_s = None;
     let mut optimum_kind = None;
