@@ -91,22 +91,39 @@ fn bench_engine_ablation(c: &mut Criterion) {
 /// execution (protocol construction excluded) on `sim_threads()`
 /// threads; the headline is the n = 2²⁰ Knödel graph — a
 /// million-vertex gossip measured in seconds. Labels are
-/// `sim_large/<family>/<n>`. Five samples per point, so the median is
-/// the middle sample rather than the mean of two.
+/// `sim_large/<family>/<n>`; `rr3-trace` also builds the min-count
+/// trace, as the batch runner's large-sim unit always does. Five
+/// samples per point, so the median is the middle sample rather than
+/// the mean of two.
 fn bench_sim_large(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_large");
     g.sample_size(if fast_mode() { 1 } else { 5 });
 
-    let workloads: Vec<(&str, Network)> = if fast_mode() {
+    // What the batch runner's large-sim unit runs: the traced driver.
+    let traced = (
+        "rr3-trace",
+        Network::RandomRegular {
+            n: 50_000,
+            d: 3,
+            seed: 1997,
+        },
+        true,
+    );
+    let workloads: Vec<(&str, Network, bool)> = if fast_mode() {
         // CI smoke: one mid-size Knödel point keeps the group's labels
-        // (and the JSON shape) exercised without the multi-second runs.
-        vec![(
-            "knodel",
-            Network::Knodel {
-                delta: 16,
-                n: 65_536,
-            },
-        )]
+        // (and the JSON shape) exercised without the multi-second runs;
+        // the traced point (~1.5 s) runs the runner's path.
+        vec![
+            (
+                "knodel",
+                Network::Knodel {
+                    delta: 16,
+                    n: 65_536,
+                },
+                false,
+            ),
+            traced,
+        ]
     } else {
         vec![
             (
@@ -115,6 +132,7 @@ fn bench_sim_large(c: &mut Criterion) {
                     delta: 16,
                     n: 100_000,
                 },
+                false,
             ),
             (
                 "knodel",
@@ -122,6 +140,7 @@ fn bench_sim_large(c: &mut Criterion) {
                     delta: 20,
                     n: 1_048_576,
                 },
+                false,
             ),
             (
                 "rr3",
@@ -130,6 +149,7 @@ fn bench_sim_large(c: &mut Criterion) {
                     d: 3,
                     seed: 1997,
                 },
+                false,
             ),
             (
                 "rr3",
@@ -138,10 +158,12 @@ fn bench_sim_large(c: &mut Criterion) {
                     d: 3,
                     seed: 1997,
                 },
+                false,
             ),
+            traced,
         ]
     };
-    for (family, net) in workloads {
+    for (family, net, trace) in workloads {
         let n = net
             .order_hint()
             .expect("sim_large nets have closed-form orders");
@@ -155,7 +177,7 @@ fn bench_sim_large(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new(family, n), &sp, |b, sp| {
             b.iter(|| {
                 black_box(
-                    run_systolic_large(sp, n, budget, false, None, threads)
+                    run_systolic_large(sp, n, budget, trace, None, threads)
                         .result
                         .completed_at,
                 )

@@ -8,7 +8,6 @@
 
 use crate::codec::pow;
 use crate::digraph::Digraph;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Shuffle-exchange network `SE(D)` on `2^D` vertices (undirected):
@@ -85,24 +84,49 @@ pub fn petersen() -> Digraph {
 /// Random `d`-regular graph on `n` vertices via the configuration model
 /// with rejection (retry until simple). `n·d` must be even. Panics after
 /// `1000` failed attempts (practically impossible for the sizes used here).
+///
+/// Each attempt shuffles the `n·d` stubs with Fisher–Yates from the
+/// back, exactly as [`rand::seq::SliceRandom::shuffle`], and pairs
+/// positions `2k, 2k + 1`. A pair is checked as soon as both its
+/// positions are final, and an attempt that fails draws its remaining
+/// random numbers without using them, so the generator's stream and the
+/// graph are those of a full shuffle followed by a check of every pair.
 pub fn random_regular(n: usize, d: usize, rng: &mut impl Rng) -> Digraph {
     assert!((n * d).is_multiple_of(2), "n*d must be even");
     assert!(d < n, "degree must be below n");
+    let len = n * d;
+    let mut stubs = Vec::with_capacity(len);
+    let mut edges = vec![(0, 0); len / 2];
+    // Neighbours paired so far: `d` slots per vertex, `deg[v]` filled.
+    let mut adj = vec![0usize; len];
+    let mut deg = vec![0usize; n];
     'attempt: for _ in 0..1000 {
-        let mut stubs: Vec<usize> = (0..n).flat_map(|v| std::iter::repeat_n(v, d)).collect();
-        stubs.shuffle(rng);
-        let mut edges = Vec::with_capacity(n * d / 2);
-        let mut seen = std::collections::HashSet::new();
-        for pair in stubs.chunks_exact(2) {
-            let (u, v) = (pair[0], pair[1]);
-            if u == v {
-                continue 'attempt; // self-loop
+        stubs.clear();
+        stubs.extend((0..n).flat_map(|v| std::iter::repeat_n(v, d)));
+        deg.fill(0);
+        for i in (1..len).rev() {
+            let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+            stubs.swap(i, j);
+            // Positions `i..` are final: pair `(i, i + 1)` at even `i`,
+            // and pair `(0, 1)` after the last step.
+            let first = match i {
+                1 => 0,
+                _ if i % 2 == 0 => i,
+                _ => continue,
+            };
+            let (u, v) = (stubs[first], stubs[first + 1]);
+            // A self-loop or a multi-edge rejects the attempt.
+            if u == v || adj[u * d..u * d + deg[u]].contains(&v) {
+                for _ in 1..i {
+                    rng.next_u64();
+                }
+                continue 'attempt;
             }
-            let key = (u.min(v), u.max(v));
-            if !seen.insert(key) {
-                continue 'attempt; // multi-edge
-            }
-            edges.push((u, v));
+            adj[u * d + deg[u]] = v;
+            adj[v * d + deg[v]] = u;
+            deg[u] += 1;
+            deg[v] += 1;
+            edges[first / 2] = (u, v);
         }
         return Digraph::from_edges(n, edges);
     }

@@ -11,10 +11,13 @@
 //! workers. The per-round plan (clean full-duplex pairs,
 //! residual arcs, snapshot slots) is [`CompiledSchedule`]'s, so
 //! beginning-of-round semantics are the compiled engine's. The min-count
-//! trace is rebuilt from per-round, per-vertex gain counts that each
-//! thread sums over its own slices; the threads' sums merge in a fixed
-//! order. Those counts take 4 bytes per vertex and round on each thread
-//! (18 MiB for RR(5·10⁴,3)'s 92 rounds), and nothing without a trace.
+//! trace is rebuilt from per-round gain counts that each thread sums over
+//! its own slices; the threads' sums merge in a fixed order. A round's
+//! counts are indexed by gain slot — one per vertex the round can change
+//! (a clean-pair end or an arc target), in the order the round installs
+//! them — so they take 4 bytes per slot and round on each thread
+//! (5.3 MiB for RR(5·10⁴,3)'s 92 rounds, which change 30% of the
+//! vertices in an average round), and nothing without a trace.
 //!
 //! Locality: vertices are relabelled in BFS order of the period's union
 //! graph and each round's arcs are sorted by target, so the rows an arc
@@ -102,7 +105,8 @@ struct SliceEnd {
 }
 
 /// One thread's work: the ends of the slices it ran, and per round the
-/// items each vertex gained over those slices (only with a trace).
+/// items each gain slot's vertex gained over those slices (only with a
+/// trace; round `i`'s row is indexed like `plan[i % s].targets`).
 #[derive(Default)]
 struct ThreadSums {
     ends: Vec<SliceEnd>,
@@ -120,6 +124,9 @@ struct SliceRound {
     arcs: Vec<(u32, u32)>,
     /// No two arcs share a target.
     distinct_targets: bool,
+    /// Vertex of each gain slot, in install order: both ends of each
+    /// pair (`u`, then `v`), then each distinct arc target.
+    targets: Vec<u32>,
 }
 
 /// The period's round plans on BFS-relabelled vertices.
@@ -159,11 +166,15 @@ fn slice_plan(sp: &SystolicProtocol, n: usize) -> Vec<SliceRound> {
                 })
                 .collect();
             arcs.sort_unstable();
+            let mut targets: Vec<u32> = r.pairs.iter().flat_map(|&(u, v)| [u, v]).collect();
+            targets.extend(arcs.iter().map(|&(t, _)| t));
+            targets.dedup();
             SliceRound {
                 pairs: r.pairs.clone(),
                 snap_sources: r.snap_sources.clone(),
                 arcs,
                 distinct_targets: r.distinct_targets,
+                targets,
             }
         })
         .collect()
@@ -227,14 +238,14 @@ fn run_sliced(
     let mut curve = Vec::new();
     if trace {
         // Every vertex starts knowing its own item; add each round's
-        // gains thread by thread.
+        // gains thread by thread, slot by slot.
         let mut counts = vec![1u32; n];
         for i in 0..rounds_run {
-            for t in &per_thread {
-                if let Some(g) = t.gains.get(i) {
-                    for (c, &d) in counts.iter_mut().zip(g) {
-                        *c += d;
-                    }
+            for row in per_thread.iter().filter_map(|t| t.gains.get(i)) {
+                // A slice that ran round `i` had a nonempty period.
+                let targets = &plan[i % plan.len()].targets;
+                for (&v, &d) in targets.iter().zip(row) {
+                    counts[v as usize] += d;
                 }
             }
             curve.push(counts.iter().copied().min().unwrap_or(0) as usize);
@@ -302,7 +313,7 @@ fn bfs_labels(period: &[Round], n: usize) -> Vec<u32> {
 /// state until it completes, reaches its own fixed point (a whole
 /// period without change), or exhausts `max_rounds`. `rows` holds the
 /// `n` vertex rows followed by the snapshot rows. With `gains`, adds
-/// each vertex's per-round item gains into `gains[round]`.
+/// each gain slot's per-round item gains into `gains[round]`.
 fn run_slice(
     plan: &[SliceRound],
     n: usize,
@@ -334,10 +345,11 @@ fn run_slice(
     }
     let mut idle = 0usize;
     for i in 0..max_rounds {
+        let r = &plan[i % s];
         let gain = match gains.as_deref_mut() {
             Some(g) => {
                 if g.len() <= i {
-                    g.push(vec![0; n]);
+                    g.push(vec![0; r.targets.len()]);
                 }
                 Some(&mut g[i][..])
             }
@@ -345,11 +357,12 @@ fn run_slice(
         };
         let mut round = RoundDelta {
             full,
+            targets: &r.targets,
+            slot: 0,
             gain,
             changed: 0,
             completed: 0,
         };
-        let r = &plan[i % s];
         for &(u, v) in &r.pairs {
             let (u, v) = (u as usize, v as usize);
             let (a, c) = (rows[u], rows[v]);
@@ -412,7 +425,11 @@ fn or(a: Bits, b: Bits) -> Bits {
 struct RoundDelta<'g> {
     /// The slice's complete row.
     full: Bits,
-    /// Per-vertex item gains of this round, when tracing.
+    /// The round's gain-slot vertices: installs fill the slots in order.
+    targets: &'g [u32],
+    /// The next install's gain slot.
+    slot: usize,
+    /// Item gains of this round per gain slot, when tracing.
     gain: Option<&'g mut [u32]>,
     /// Nonzero once any row changed.
     changed: u64,
@@ -421,18 +438,22 @@ struct RoundDelta<'g> {
 }
 
 impl RoundDelta<'_> {
-    /// Stores `new` as row `v` (previously `old ⊆ new`) and accounts
-    /// for the change. The store is unconditional: about half the rows
-    /// a round touches change, and a branch around it measured slower.
+    /// Stores `new` as row `v` (previously `old ⊆ new`), the round's
+    /// next gain slot, and accounts for the change. The store is
+    /// unconditional: about half the rows a round touches change, and a
+    /// branch around it measured slower.
     #[inline]
     fn install(&mut self, rows: &mut [Bits], v: usize, old: Bits, new: Bits) {
+        let slot = self.slot;
+        debug_assert_eq!(self.targets[slot] as usize, v, "gain slot {slot}");
+        self.slot += 1;
         rows[v] = new;
         let diff = (0..SLICE_WORDS).fold(0, |d, w| d | (new[w] ^ old[w]));
         self.changed |= diff;
         self.completed += usize::from(diff != 0 && new == self.full);
         if diff != 0 {
             if let Some(g) = self.gain.as_deref_mut() {
-                g[v] += (0..SLICE_WORDS)
+                g[slot] += (0..SLICE_WORDS)
                     .map(|w| (new[w] & !old[w]).count_ones())
                     .sum::<u32>();
             }
@@ -443,6 +464,7 @@ impl RoundDelta<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::run_systolic_reference;
     use sg_protocol::builders;
     use sg_protocol::mode::Mode;
 
@@ -480,6 +502,100 @@ mod tests {
                 assert_eq!(res, sparse.result);
                 assert_eq!(rounds, sparse.rounds_run);
                 assert_eq!(rounds, want);
+            }
+        }
+    }
+
+    /// `k` copies of an 8-vertex gadget, period `[A, empty, C]`. Round A
+    /// mixes two clean pairs (0↔1, 6↔7), two arcs into one target
+    /// (2→3, 4→3) and snapshot sources (4→3 and 3→4 read 4 and 3, both
+    /// targets); C's own arcs form no clean pair. With `linked`, C also
+    /// joins copy `j`'s vertex 7 to copy `j + 1`'s vertex 0 both ways,
+    /// and the period completes; without, it stops at a fixed point. The
+    /// union graph's BFS order is the identity, so the plan keeps the
+    /// labels.
+    fn gadgets(k: usize, linked: bool) -> SystolicProtocol {
+        let tile = |list: &[(usize, usize)], link: bool| {
+            let mut out = Vec::new();
+            for j in 0..k {
+                out.extend(list.iter().map(|&(u, v)| Arc::new(8 * j + u, 8 * j + v)));
+                if link && j + 1 < k {
+                    out.extend([
+                        Arc::new(8 * j + 7, 8 * j + 8),
+                        Arc::new(8 * j + 8, 8 * j + 7),
+                    ]);
+                }
+            }
+            Round::new(out)
+        };
+        let a = [
+            (0, 1),
+            (1, 0),
+            (6, 7),
+            (7, 6),
+            (2, 3),
+            (4, 3),
+            (3, 4),
+            (5, 4),
+        ];
+        let c = [(1, 2), (2, 1), (5, 6), (6, 5), (3, 2), (4, 5)];
+        SystolicProtocol::new(
+            vec![tile(&a, false), Round::empty(), tile(&c, linked)],
+            Mode::Directed,
+        )
+    }
+
+    #[test]
+    fn gain_slots_follow_the_install_order() {
+        let k = 40u32; // n = 320: two slices
+        let copies = |local: &[u32]| -> Vec<u32> {
+            (0..k)
+                .flat_map(|j| local.iter().map(move |&x| 8 * j + x))
+                .collect()
+        };
+        for linked in [false, true] {
+            let plan = slice_plan(&gadgets(k as usize, linked), 8 * k as usize);
+            assert_eq!(plan.len(), 3);
+            // A: the pairs' ends in arc order, then arc targets 3 and 4
+            // once each, sorted; the snapshots change no slot.
+            let mut want = copies(&[0, 1, 6, 7]);
+            want.extend(copies(&[3, 4]));
+            assert_eq!(plan[0].targets, want);
+            assert!(!plan[0].distinct_targets);
+            assert_eq!(plan[0].snap_sources, copies(&[3, 4]));
+            assert!(plan[1].targets.is_empty());
+            // C: the links are clean pairs (7 of one copy, 0 of the next).
+            let mut want: Vec<u32> = if linked {
+                (0..k - 1).flat_map(|j| [8 * j + 7, 8 * j + 8]).collect()
+            } else {
+                Vec::new()
+            };
+            want.extend(copies(&[1, 2, 5, 6]));
+            assert_eq!(plan[2].targets, want);
+        }
+    }
+
+    #[test]
+    fn slot_indexed_traces_match_the_oracles() {
+        let n = 8 * 40;
+        let all_empty = SystolicProtocol::new(vec![Round::empty(); 2], Mode::Directed);
+        // (protocol, budget, completes): a completing run, a budget
+        // exhausted before completion, a fixed point, an all-empty period.
+        let cases = [
+            (gadgets(40, true), 10_000, true),
+            (gadgets(40, true), 7, false),
+            (gadgets(40, false), 10_000, false),
+            (all_empty, 10, false),
+        ];
+        for (sp, budget, completes) in cases {
+            let oracle = run_systolic_reference(&sp, n, budget, true);
+            let sparse = run_sparse(&sp, n, budget, true, None, usize::MAX).expect("no hand-off");
+            assert_eq!(sparse.result, oracle);
+            assert_eq!(oracle.completed_at.is_some(), completes);
+            for threads in [1, 2, 3] {
+                let (res, rounds) = run_sliced(&sp, n, budget, true, threads);
+                assert_eq!(res, oracle, "threads {threads}");
+                assert_eq!(rounds, sparse.rounds_run, "threads {threads}");
             }
         }
     }

@@ -9,8 +9,9 @@
 //! Definition 3.1. The production engines each take a different shortcut
 //! (precompiled snapshot plans, run-compressed rows with a fixed-point
 //! exit, relabelled 256-item slices with a trace rebuilt from
-//! per-thread gain counts), so agreement across all of them on the
-//! whole workload zoo pins the semantics from independent directions.
+//! per-thread gain counts kept per round and target slot), so agreement
+//! across all of them on the whole workload zoo pins the semantics from
+//! independent directions.
 
 use sg_scenario::descriptor::protocol_for;
 use sg_scenario::registry;
